@@ -273,7 +273,7 @@ func newGenerator(cfg Config) (*generator, error) {
 // renderUploads pre-builds a small pool of upload bodies: Table I
 // platforms re-identified as loadgen-<n>, so a run cycles through
 // creates and re-uploads (re-uploads are the interesting case — they
-// trigger invalidation sweeps).
+// bump the version and so retire every cached key for the platform).
 func (g *generator) renderUploads() error {
 	all := machine.All()
 	for i := 0; i < 8; i++ {

@@ -61,8 +61,17 @@ func NewCountedLogger(w io.Writer) (*slog.Logger, func() int64) {
 	return slog.New(ctxHandler{inner: slog.NewJSONHandler(w, nil), records: n}), n.Load
 }
 
+// nopHandler is disabled at every level, so slog drops each record
+// before building or formatting it.
+type nopHandler struct{}
+
+func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h nopHandler) WithGroup(string) slog.Handler           { return h }
+
 // NopLogger returns a logger that discards every record, so code can
 // log unconditionally without nil checks.
 func NopLogger() *slog.Logger {
-	return slog.New(slog.NewJSONHandler(io.Discard, nil))
+	return slog.New(nopHandler{})
 }

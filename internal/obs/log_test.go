@@ -56,3 +56,19 @@ func TestNopLoggerDiscards(t *testing.T) {
 	// Must not panic, even with a nil-ish context chain.
 	NopLogger().LogAttrs(context.Background(), slog.LevelError, "into the void")
 }
+
+func TestNopLoggerDoesNotAllocate(t *testing.T) {
+	logger := NopLogger()
+	if logger.Enabled(context.Background(), slog.LevelError) {
+		t.Error("NopLogger is enabled at LevelError; records would be formatted")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		// Six attributes: one more than a slog.Record stores inline, so
+		// building the record at all would allocate.
+		logger.Info("request", "endpoint", "/v1/query", "method", "POST", "status", 200,
+			"dur_s", 1.25e-4, "request_id", "req-42", "trace", "0af7651916cd43dd")
+	})
+	if allocs != 0 {
+		t.Errorf("NopLogger().Info allocated %.0f times per call, want 0", allocs)
+	}
+}

@@ -77,7 +77,7 @@ func (o PutOutcome) String() string {
 // Stats is a point-in-time snapshot for the metrics probe.
 type Stats struct {
 	Uploads       uint64 // durable Put commits since open
-	Invalidations uint64 // version bumps that evicted cached responses
+	Invalidations uint64 // version bumps that retired a cached response key
 	Quarantined   uint64 // blobs quarantined by the recovery scan
 	Generation    uint64 // bumped on any membership or content change
 	// ShardPlatforms is the live-entry count per shard (builtins
@@ -109,12 +109,6 @@ type Registry struct {
 	shards   []*shard
 	builtins map[string]bool
 	recovery RecoveryStats
-
-	// inval is called under the owning shard's write lock whenever an
-	// ID's published version stops being current (re-upload or delete),
-	// so no new cache entry for the old version can be admitted after
-	// the eviction ran.
-	inval func(id string, oldVersion uint64)
 
 	uploads       atomic.Uint64
 	invalidations atomic.Uint64
@@ -285,13 +279,6 @@ func (r *Registry) shardFor(id string) *shard {
 	return r.shards[r.ring.shard(id)]
 }
 
-// SetInvalidator installs the cache-eviction hook. It runs under the
-// owning shard's write lock on every version bump (re-upload, delete)
-// with the ID and the version being retired. Install it before serving.
-func (r *Registry) SetInvalidator(fn func(id string, oldVersion uint64)) {
-	r.inval = fn
-}
-
 // Recovery returns the startup scan's summary.
 func (r *Registry) Recovery() RecoveryStats { return r.recovery }
 
@@ -392,11 +379,6 @@ func (r *Registry) Put(p *machine.Platform) (*Entry, PutOutcome, error) {
 	outcome := PutCreated
 	if cur != nil {
 		outcome = PutUpdated
-		// Under the shard lock: no resolver can observe the new
-		// version until the old version's cached responses are gone.
-		if r.inval != nil {
-			r.inval(id, cur.Version)
-		}
 		r.invalidations.Add(1)
 	}
 	return e, outcome, nil
@@ -440,9 +422,6 @@ func (r *Registry) Delete(id string) error {
 	sh.versions[id] = version
 	delete(sh.entries, id)
 	r.generation.Add(1)
-	if r.inval != nil {
-		r.inval(id, cur.Version)
-	}
 	r.invalidations.Add(1)
 	return nil
 }

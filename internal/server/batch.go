@@ -29,11 +29,9 @@ type batchResponse struct {
 }
 
 // handleBatch evaluates N query items through a bounded worker pool.
-// Every item goes through evalQuery, i.e. the shared response cache and
-// singleflight group: cached items cost no model evaluation, duplicate
-// items within the batch (or concurrent with other requests) collapse
-// to a single evaluation, and the batch as a whole performs at most N
-// model evaluations.
+// Every item goes through evalQuery, i.e. the shared response cache:
+// cached items cost no model evaluation, and the batch as a whole
+// performs at most N model evaluations.
 func (s *Server) handleBatch(_ http.ResponseWriter, r *http.Request) (any, *apiError) {
 	var req batchRequest
 	if aerr := s.decodeBody(r, &req); aerr != nil {

@@ -1,11 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func resp(body string) *cachedResponse {
 	return &cachedResponse{status: 200, body: []byte(body)}
@@ -47,79 +42,4 @@ func TestLRUOverwrite(t *testing.T) {
 	if n := c.size(); n != 1 {
 		t.Errorf("size = %d, want 1 after overwrite", n)
 	}
-}
-
-func TestFlightGroupShares(t *testing.T) {
-	g := newFlightGroup()
-	const waiters = 16
-	var started, done sync.WaitGroup
-	release := make(chan struct{})
-	var computes atomic.Int32
-	results := make([]*cachedResponse, waiters)
-	for i := 0; i < waiters; i++ {
-		started.Add(1)
-		done.Add(1)
-		go func(slot int) {
-			defer done.Done()
-			started.Done()
-			r, _ := g.do("key", func() (*cachedResponse, *apiError) {
-				computes.Add(1)
-				<-release
-				return resp("shared"), nil
-			})
-			results[slot] = r
-		}(i)
-	}
-	started.Wait()
-	close(release)
-	done.Wait()
-	// A caller arriving after the winning flight completes legitimately
-	// recomputes (the group alone has no memory; the LRU cache above it
-	// provides that), so the guarantee here is suppression, not
-	// uniqueness: far fewer computations than callers, and every caller
-	// sees a valid result.
-	if n := computes.Load(); n < 1 || n >= waiters {
-		t.Errorf("computes = %d, want in [1, %d)", n, waiters)
-	}
-	for i, r := range results {
-		if r == nil || string(r.body) != "shared" {
-			t.Errorf("waiter %d got %v", i, r)
-		}
-	}
-}
-
-func TestFlightGroupErrorNotSticky(t *testing.T) {
-	g := newFlightGroup()
-	_, aerr := g.do("k", func() (*cachedResponse, *apiError) {
-		return nil, errBadRequest("boom")
-	})
-	if aerr == nil {
-		t.Fatal("want error from first flight")
-	}
-	// The failed flight is deregistered, so a retry recomputes.
-	r, aerr := g.do("k", func() (*cachedResponse, *apiError) {
-		return resp("ok"), nil
-	})
-	if aerr != nil || string(r.body) != "ok" {
-		t.Fatalf("retry = %v, %v", r, aerr)
-	}
-}
-
-func TestFlightGroupDistinctKeys(t *testing.T) {
-	g := newFlightGroup()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i)
-			r, _ := g.do(key, func() (*cachedResponse, *apiError) {
-				return resp(key), nil
-			})
-			if string(r.body) != key {
-				t.Errorf("key %s got %s", key, r.body)
-			}
-		}(i)
-	}
-	wg.Wait()
 }

@@ -327,8 +327,7 @@ func (s *Server) handleRoofline(_ http.ResponseWriter, r *http.Request) (any, *a
 	ctx := r.Context()
 	resp, aerr := s.cachedJSON(key, func() (any, *apiError) {
 		s.noteEval()
-		k := s.kernels.get(e.CacheKey()+"|"+precision, p)
-		return sweepRoofline(ctx, id, plat.Name, precision, p, k, g)
+		return sweepRoofline(ctx, id, plat.Name, precision, p, model.NewKernel(p), g)
 	})
 	return resp, aerr
 }
@@ -380,10 +379,9 @@ func (s *Server) handleQuery(_ http.ResponseWriter, r *http.Request) (any, *apiE
 }
 
 // evalQuery validates and serves one query item through the shared
-// response cache and singleflight group. POST /v1/query sends its
-// single item here and POST /v1/batch sends each of its N items, so a
-// batch item, an equivalent single query, and a concurrent duplicate
-// all share one cache slot and at most one model evaluation.
+// response cache. POST /v1/query sends its single item here and POST
+// /v1/batch sends each of its N items, so a batch item and an
+// equivalent single query share one cache slot.
 func (s *Server) evalQuery(req queryRequest) (*cachedResponse, *apiError) {
 	plat, platKey, aerr := s.resolvePlatform(req.platformRef)
 	if aerr != nil {
@@ -444,7 +442,7 @@ func (s *Server) evalQuery(req queryRequest) (*cachedResponse, *apiError) {
 		if !(iv > 0) || math.IsInf(iv, 0) {
 			return nil, errBadRequest("intensity must be positive and finite, got %g", iv)
 		}
-		k := s.kernels.get(platKey+"|"+precision, p)
+		k := model.NewKernel(p)
 		out.Intensity = iv
 		out.Regime = k.RegimeAt(iv).Letter()
 		out.FlopsPerSec = nf(k.FlopRateAt(iv))

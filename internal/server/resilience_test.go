@@ -51,8 +51,8 @@ func TestLoadSheddingStorm(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Occupy the ceiling with distinct keys (no cache or singleflight
-	// coalescing) and hold every evaluation open.
+	// Occupy the ceiling with distinct keys (no cache hits) and hold
+	// every evaluation open.
 	var occupiers sync.WaitGroup
 	for i := 0; i < ceiling; i++ {
 		occupiers.Add(1)

@@ -21,12 +21,11 @@
 //	GET  /metrics                           counters, latency quantiles, cache stats
 //
 // Every buffered /v1 response is a pure function of the request, so the
-// server keeps an LRU cache keyed on the canonicalized request and
-// deduplicates concurrent identical computations singleflight-style: N
-// simultaneous requests for the same sweep cost one model evaluation,
-// and the N items of one /v1/batch flow through the same cache and
-// flight group item by item. Responses negotiate gzip via
-// Accept-Encoding. The package uses only the Go standard library.
+// server keeps one LRU cache keyed on the canonicalized request; the N
+// items of one /v1/batch flow through it item by item. Keys carry the
+// platform's registry version, so a re-upload retires stale responses
+// without evicting them. Responses negotiate gzip via Accept-Encoding.
+// The package uses only the Go standard library.
 package server
 
 import (
@@ -38,7 +37,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"archline/internal/jobs"
@@ -110,8 +108,7 @@ type Config struct {
 	// POST /v1/platforms answers 503.
 	DataDir string
 	// RegistryShards is how many consistent-hash shards the registry
-	// index splits into; the response cache splits its lock domains the
-	// same number of ways. Zero takes registry.DefaultShards.
+	// index splits into. Zero takes registry.DefaultShards.
 	RegistryShards int
 	// AggFlushInterval is how often the metric aggregation stage drains
 	// into the exposition registry (the archlined -agg-flush flag). Zero
@@ -160,14 +157,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the archlined service: routing, response cache, in-flight
-// deduplication, and metrics.
+// Server is the archlined service: routing, response cache, and
+// metrics.
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
-	cache    *shardedCache
-	kernels  *kernelCache
-	flights  *flightGroup
+	cache    *lruCache
 	metrics  *Metrics
 	breaker  *circuitBreaker
 	jobs     *jobs.Engine
@@ -195,9 +190,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		cache:   newShardedCache(cfg.CacheEntries, shards),
-		kernels: newKernelCache(cfg.CacheEntries),
-		flights: newFlightGroup(),
+		cache:   newLRUCache(cfg.CacheEntries),
 		metrics: NewMetrics(),
 		breaker: newCircuitBreaker(cfg.BreakerWindow, cfg.BreakerErrRate,
 			cfg.BreakerMinSamples, cfg.BreakerCooldown, nil),
@@ -225,15 +218,6 @@ func New(cfg Config) *Server {
 		s.registry, _ = registry.OpenMemory(shards)
 	}
 	if s.registry != nil {
-		// Runs under the owning registry shard's lock: the version bump
-		// and the eviction of every response keyed to the retired
-		// version are one atomic step from any resolver's viewpoint.
-		s.registry.SetInvalidator(func(id string, _ uint64) {
-			frag := "id:" + id + "@v"
-			s.cache.invalidate(func(key string) bool {
-				return strings.Contains(key, frag)
-			})
-		})
 		s.metrics.registryProbe = s.registry.Stats
 	}
 	s.metrics.breakerProbe = s.breaker.snapshot
@@ -281,7 +265,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // ModelEvals reports how many cache-missed model evaluations have run —
-// the observable the dedup/cache tests assert on.
+// the observable the cache tests assert on.
 func (s *Server) ModelEvals() int64 { return s.metrics.ModelEvals() }
 
 // noteEval records one underlying model evaluation.
@@ -313,33 +297,28 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	}, w, r)
 }
 
-// cachedJSON serves a pure-function endpoint: cache lookup, singleflight
-// dedup of concurrent identical computations, then compute + fill. The
-// key must canonicalize the request (two equivalent requests map to one
-// key), so cache hits return byte-identical bodies.
+// cachedJSON serves a pure-function endpoint: cache lookup, then
+// compute, marshal and fill on a miss. The key must canonicalize the
+// request (two equivalent requests map to one key), so cache hits
+// return byte-identical bodies. Concurrent identical misses each
+// compute; they produce identical bodies, so the last put wins
+// harmlessly. Errors are never cached.
 func (s *Server) cachedJSON(key string, compute func() (any, *apiError)) (*cachedResponse, *apiError) {
 	if resp, ok := s.cache.get(key); ok {
 		s.metrics.noteCache(true)
 		return resp, nil
 	}
 	s.metrics.noteCache(false)
-	return s.flights.do(key, func() (*cachedResponse, *apiError) {
-		// A concurrent flight may have filled the cache while this call
-		// waited on the flight lock.
-		if resp, ok := s.cache.get(key); ok {
-			return resp, nil
-		}
-		v, aerr := compute()
-		if aerr != nil {
-			return nil, aerr
-		}
-		resp, err := marshalResponse(http.StatusOK, v)
-		if err != nil {
-			return nil, errInternal("encoding response: %v", err)
-		}
-		s.cache.put(key, resp)
-		return resp, nil
-	})
+	v, aerr := compute()
+	if aerr != nil {
+		return nil, aerr
+	}
+	resp, err := marshalResponse(http.StatusOK, v)
+	if err != nil {
+		return nil, errInternal("encoding response: %v", err)
+	}
+	s.cache.put(key, resp)
+	return resp, nil
 }
 
 // Run listens on cfg.Addr, serves until ctx is cancelled (the caller

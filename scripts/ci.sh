@@ -21,6 +21,11 @@ go vet ./...
 echo "ci: go test -race"
 go test -race ./...
 
+echo "ci: perfbench unit tests"
+# The benchmark driver is its own module built against this one's
+# server and registry packages; -short skips its slow smoke run.
+(cd perfbench && go test -short ./...)
+
 echo "ci: archlint"
 go run ./cmd/archlint -summary ./...
 
@@ -50,28 +55,62 @@ echo "ci: archlined smoke test"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/archlined" ./cmd/archlined
+
+# start_daemon LOG [FLAG...] boots archlined on an ephemeral port with
+# the given flags, logging to LOG, and waits for its address
+# announcement. It sets daemon_pid and daemon_base.
+start_daemon() {
+    daemon_log=$1
+    shift
+    "$tmpdir/archlined" -addr 127.0.0.1:0 "$@" >"$daemon_log" 2>&1 &
+    daemon_pid=$!
+    daemon_base=""
+    for _ in $(seq 1 50); do
+        daemon_base=$(sed -n 's/^archlined listening on \(.*\)$/\1/p' "$daemon_log")
+        [ -n "$daemon_base" ] && break
+        sleep 0.1
+    done
+    if [ -z "$daemon_base" ]; then
+        echo "ci: archlined ($daemon_log) never announced its address" >&2
+        cat "$daemon_log" >&2
+        kill "$daemon_pid" 2>/dev/null || true
+        exit 1
+    fi
+}
+
+# require_log PATTERN MESSAGE fails the gate, killing the running
+# daemon, unless its log contains PATTERN.
+require_log() {
+    if ! grep -q "$1" "$daemon_log"; then
+        echo "ci: $2" >&2
+        cat "$daemon_log" >&2
+        kill "$daemon_pid" 2>/dev/null || true
+        exit 1
+    fi
+}
+
+# stop_daemon sends SIGTERM to the running daemon and requires a clean
+# drain within 5 s: a watchdog hard-kills on overrun, which makes the
+# daemon exit nonzero and fails the gate.
+stop_daemon() {
+    kill -TERM "$daemon_pid"
+    ( sleep 5; kill -9 "$daemon_pid" 2>/dev/null ) &
+    watchdog_pid=$!
+    if ! wait "$daemon_pid"; then
+        echo "ci: archlined ($daemon_log) did not drain cleanly on SIGTERM" >&2
+        cat "$daemon_log" >&2
+        exit 1
+    fi
+    kill "$watchdog_pid" 2>/dev/null || true
+}
+
 # Two job workers and a small queue so the smoke probe's job-lifecycle
 # leg exercises the async fit engine with the same knobs ops would set;
 # a data directory so the registry probe's uploads have durable storage.
-"$tmpdir/archlined" -addr 127.0.0.1:0 -job-workers 2 -job-queue 4 -job-ttl 1m \
-    -data-dir "$tmpdir/data" \
-    >"$tmpdir/daemon.log" 2>&1 &
-daemon_pid=$!
+start_daemon "$tmpdir/daemon.log" -job-workers 2 -job-queue 4 -job-ttl 1m \
+    -data-dir "$tmpdir/data"
 
-base=""
-for _ in $(seq 1 50); do
-    base=$(sed -n 's/^archlined listening on \(.*\)$/\1/p' "$tmpdir/daemon.log")
-    [ -n "$base" ] && break
-    sleep 0.1
-done
-if [ -z "$base" ]; then
-    echo "ci: archlined never announced its address" >&2
-    cat "$tmpdir/daemon.log" >&2
-    kill "$daemon_pid" 2>/dev/null || true
-    exit 1
-fi
-
-go run ./scripts/smoke -base "$base"
+go run ./scripts/smoke -base "$daemon_base"
 
 echo "ci: archloadgen load smoke"
 # A short deterministic load pass against the same daemon, gated on the
@@ -81,63 +120,25 @@ echo "ci: archloadgen load smoke"
 # flusher alive and recent. Runs after the smoke probe because smoke
 # pins exact counter values that load traffic would shift.
 go build -o "$tmpdir/archloadgen" ./cmd/archloadgen
-"$tmpdir/archloadgen" -base "$base" -duration 2s -seed 42 -json \
+"$tmpdir/archloadgen" -base "$daemon_base" -duration 2s -seed 42 -json \
     -budget scripts/load_budget.json -check-agg >"$tmpdir/loadgen.json"
 grep -q '"requests"' "$tmpdir/loadgen.json" || {
     echo "ci: archloadgen emitted no JSON report" >&2
     exit 1
 }
 
-kill -TERM "$daemon_pid"
-# Clean drain within 5 s: a watchdog hard-kills on overrun, which makes
-# the daemon exit nonzero and fails the gate below.
-( sleep 5; kill -9 "$daemon_pid" 2>/dev/null ) &
-watchdog_pid=$!
-if ! wait "$daemon_pid"; then
-    echo "ci: archlined did not drain cleanly on SIGTERM" >&2
-    cat "$tmpdir/daemon.log" >&2
-    exit 1
-fi
-kill "$watchdog_pid" 2>/dev/null || true
+stop_daemon
 
 echo "ci: archlined chaos smoke test"
 # Boot a second daemon with the chaos middleware explicitly enabled and
 # assert graceful degradation: no 5xx without the JSON error envelope,
 # Retry-After on shed/breaker responses, liveness intact throughout.
-"$tmpdir/archlined" -addr 127.0.0.1:0 -chaos paper -chaos-seed 42 -max-inflight 64 \
-    >"$tmpdir/chaos.log" 2>&1 &
-chaos_pid=$!
+start_daemon "$tmpdir/chaos.log" -chaos paper -chaos-seed 42 -max-inflight 64
+require_log "CHAOS MODE enabled" "chaos archlined did not announce chaos mode"
 
-chaos_base=""
-for _ in $(seq 1 50); do
-    chaos_base=$(sed -n 's/^archlined listening on \(.*\)$/\1/p' "$tmpdir/chaos.log")
-    [ -n "$chaos_base" ] && break
-    sleep 0.1
-done
-if [ -z "$chaos_base" ]; then
-    echo "ci: chaos archlined never announced its address" >&2
-    cat "$tmpdir/chaos.log" >&2
-    kill "$chaos_pid" 2>/dev/null || true
-    exit 1
-fi
-if ! grep -q "CHAOS MODE enabled" "$tmpdir/chaos.log"; then
-    echo "ci: chaos archlined did not announce chaos mode" >&2
-    cat "$tmpdir/chaos.log" >&2
-    kill "$chaos_pid" 2>/dev/null || true
-    exit 1
-fi
+go run ./scripts/smoke -base "$daemon_base" -chaos
 
-go run ./scripts/smoke -base "$chaos_base" -chaos
-
-kill -TERM "$chaos_pid"
-( sleep 5; kill -9 "$chaos_pid" 2>/dev/null ) &
-chaos_watchdog_pid=$!
-if ! wait "$chaos_pid"; then
-    echo "ci: chaos archlined did not drain cleanly on SIGTERM" >&2
-    cat "$tmpdir/chaos.log" >&2
-    exit 1
-fi
-kill "$chaos_watchdog_pid" 2>/dev/null || true
+stop_daemon
 
 echo "ci: archlined crash-recovery drill"
 # Commit one registry upload, SIGKILL the daemon with no warning, plant
@@ -145,73 +146,30 @@ echo "ci: archlined crash-recovery drill"
 # require the acknowledged upload back (same ETag) with the corruption
 # quarantined — the registry's durability contract, end to end.
 crash_data="$tmpdir/crashdata"
-"$tmpdir/archlined" -addr 127.0.0.1:0 -data-dir "$crash_data" \
-    >"$tmpdir/crash.log" 2>&1 &
-crash_pid=$!
+start_daemon "$tmpdir/crash.log" -data-dir "$crash_data"
 
-crash_base=""
-for _ in $(seq 1 50); do
-    crash_base=$(sed -n 's/^archlined listening on \(.*\)$/\1/p' "$tmpdir/crash.log")
-    [ -n "$crash_base" ] && break
-    sleep 0.1
-done
-if [ -z "$crash_base" ]; then
-    echo "ci: crash-drill archlined never announced its address" >&2
-    cat "$tmpdir/crash.log" >&2
-    kill "$crash_pid" 2>/dev/null || true
-    exit 1
-fi
-
-commit_line=$(go run ./scripts/smoke -base "$crash_base" -crash-commit)
+commit_line=$(go run ./scripts/smoke -base "$daemon_base" -crash-commit)
 etag=$(printf '%s\n' "$commit_line" | sed -n 's/^smoke: committed //p')
 if [ -z "$etag" ]; then
     echo "ci: crash-commit probe printed no sentinel: $commit_line" >&2
-    kill -9 "$crash_pid" 2>/dev/null || true
+    kill -9 "$daemon_pid" 2>/dev/null || true
     exit 1
 fi
 
 # No SIGTERM, no drain: the acknowledged write must already be on disk.
-kill -9 "$crash_pid"
-wait "$crash_pid" 2>/dev/null || true
+kill -9 "$daemon_pid"
+wait "$daemon_pid" 2>/dev/null || true
 
 # Bit-rot: a blob whose content no longer matches its content address.
 printf 'not a registry envelope' \
     >"$crash_data/blobs/$(printf 'c%.0s' $(seq 1 64)).json"
 
-"$tmpdir/archlined" -addr 127.0.0.1:0 -data-dir "$crash_data" \
-    >"$tmpdir/recover.log" 2>&1 &
-recover_pid=$!
+start_daemon "$tmpdir/recover.log" -data-dir "$crash_data"
+require_log 'recovered 1 uploaded platform' "restart did not report the recovered upload"
 
-recover_base=""
-for _ in $(seq 1 50); do
-    recover_base=$(sed -n 's/^archlined listening on \(.*\)$/\1/p' "$tmpdir/recover.log")
-    [ -n "$recover_base" ] && break
-    sleep 0.1
-done
-if [ -z "$recover_base" ]; then
-    echo "ci: recovered archlined never announced its address" >&2
-    cat "$tmpdir/recover.log" >&2
-    kill "$recover_pid" 2>/dev/null || true
-    exit 1
-fi
-if ! grep -q 'recovered 1 uploaded platform' "$tmpdir/recover.log"; then
-    echo "ci: restart did not report the recovered upload" >&2
-    cat "$tmpdir/recover.log" >&2
-    kill "$recover_pid" 2>/dev/null || true
-    exit 1
-fi
-
-go run ./scripts/smoke -base "$recover_base" -verify-recover \
+go run ./scripts/smoke -base "$daemon_base" -verify-recover \
     -etag "$etag" -want-quarantined 1
 
-kill -TERM "$recover_pid"
-( sleep 5; kill -9 "$recover_pid" 2>/dev/null ) &
-recover_watchdog_pid=$!
-if ! wait "$recover_pid"; then
-    echo "ci: recovered archlined did not drain cleanly on SIGTERM" >&2
-    cat "$tmpdir/recover.log" >&2
-    exit 1
-fi
-kill "$recover_watchdog_pid" 2>/dev/null || true
+stop_daemon
 
 echo "ci: OK"

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"archline/internal/machine"
+	"archline/internal/model"
 	"archline/internal/report"
 	"archline/internal/sim"
 	"archline/internal/stats"
@@ -74,6 +75,7 @@ func fig4Platform(plat *machine.Platform, opts Options) (*Fig4Platform, error) {
 		sweep = append(sweep, suite.Sweep(sim.Single)...)
 	}
 	{
+		k := model.NewKernel(plat.Single)
 		for _, m := range sweep {
 			measuredP := m.AvgPower.Watts()
 			if measuredP <= 0 {
@@ -81,7 +83,7 @@ func fig4Platform(plat *machine.Platform, opts Options) (*Fig4Platform, error) {
 			}
 			// Capped model: eq. (7). Uncapped model: E/T with the
 			// prior max-of-two time.
-			capped := plat.Single.AvgPowerAt(m.Intensity).Watts()
+			capped := k.AvgPowerAt(m.Intensity.Ratio())
 			tu := plat.Single.TimeUncapped(m.W, m.Q)
 			uncapped := plat.Single.EnergyUncapped(m.W, m.Q).Over(tu).Watts()
 			fp.CappedErrs = append(fp.CappedErrs, (capped-measuredP)/measuredP)

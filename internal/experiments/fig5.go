@@ -50,11 +50,12 @@ func fig5Panel(plat *machine.Platform, opts Options) (*Fig5Panel, error) {
 	grid := model.LogSpace(fig5Grid.Lo, fig5Grid.Hi, fig5Grid.N)
 	panel := &Fig5Panel{Platform: plat}
 	norm := plat.Single.Pi1.Watts() + plat.Single.DeltaPi.Watts()
+	k := model.NewKernel(plat.Single)
 	for _, i := range grid {
 		panel.Model = append(panel.Model, scenario.MetricPoint{
-			I: i, Value: plat.Single.AvgPowerAt(i).Watts() / norm,
+			I: i, Value: k.AvgPowerAt(i.Ratio()) / norm,
 		})
-		panel.Regimes = append(panel.Regimes, plat.Single.RegimeAt(i))
+		panel.Regimes = append(panel.Regimes, k.RegimeAt(i.Ratio()))
 	}
 	suite, err := opts.runSuite(plat)
 	if err != nil {
@@ -63,7 +64,7 @@ func fig5Panel(plat *machine.Platform, opts Options) (*Fig5Panel, error) {
 	for _, m := range suite.Sweep(sim.Single) {
 		v := m.AvgPower.Watts() / norm
 		panel.Measured = append(panel.Measured, scenario.MetricPoint{I: m.Intensity, Value: v})
-		modelV := plat.Single.AvgPowerAt(m.Intensity).Watts() / norm
+		modelV := k.AvgPowerAt(m.Intensity.Ratio()) / norm
 		if e := abs(modelV-v) / v; e > panel.MaxAbsErr {
 			panel.MaxAbsErr = e
 		}

@@ -31,23 +31,13 @@ func (m Metric) String() string {
 	}
 }
 
-// valueAt evaluates metric m for machine p at intensity i.
-func (p Params) valueAt(m Metric, i units.Intensity) float64 {
-	switch m {
-	case MetricFlopRate:
-		return float64(p.FlopRateAt(i))
-	case MetricFlopsPerJoule:
-		return float64(p.FlopsPerJouleAt(i))
-	case MetricAvgPower:
-		return p.AvgPowerAt(i).Watts()
-	default:
-		return math.NaN()
-	}
+// MetricAt evaluates metric m at intensity i, for callers that sweep
+// metrics generically (e.g. the fig. 1 renderer). Unknown metrics
+// evaluate to NaN.
+func (p Params) MetricAt(m Metric, i units.Intensity) float64 {
+	k := NewKernel(p)
+	return k.MetricAt(m, i.Ratio())
 }
-
-// MetricAt exposes valueAt for callers that sweep metrics generically
-// (e.g. the fig. 1 renderer).
-func (p Params) MetricAt(m Metric, i units.Intensity) float64 { return p.valueAt(m, i) }
 
 // ErrNoCrossover reports that two machines do not change relative order
 // on the searched intensity interval.
@@ -60,12 +50,19 @@ var ErrNoCrossover = errors.New("model: no crossover in interval")
 // ratios of piecewise-hyperbolic functions, so within one ordering flip a
 // bisection is exact.
 func Crossover(a, b Params, m Metric, lo, hi units.Intensity) (units.Intensity, error) {
+	ka, kb := NewKernel(a), NewKernel(b)
+	return crossover(&ka, &kb, m, lo, hi)
+}
+
+// crossover is Crossover on prebuilt kernels, so a scan refining many
+// flips builds each machine's kernel once.
+func crossover(a, b *Kernel, m Metric, lo, hi units.Intensity) (units.Intensity, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, errors.New("model: crossover interval must satisfy 0 < lo < hi")
 	}
 	f := func(logI float64) float64 {
-		i := units.Intensity(math.Exp(logI))
-		va, vb := a.valueAt(m, i), b.valueAt(m, i)
+		i := math.Exp(logI)
+		va, vb := a.MetricAt(m, i), b.MetricAt(m, i)
 		if va <= 0 || vb <= 0 {
 			return math.NaN()
 		}
@@ -117,9 +114,10 @@ func CrossoversOnGrid(a, b Params, m Metric, grid []units.Intensity) []units.Int
 	if len(grid) < 2 {
 		return nil
 	}
+	ka, kb := NewKernel(a), NewKernel(b)
 	var out []units.Intensity
 	sign := func(i units.Intensity) int {
-		va, vb := a.valueAt(m, i), b.valueAt(m, i)
+		va, vb := ka.MetricAt(m, i.Ratio()), kb.MetricAt(m, i.Ratio())
 		switch {
 		case va > vb:
 			return 1
@@ -133,7 +131,7 @@ func CrossoversOnGrid(a, b Params, m Metric, grid []units.Intensity) []units.Int
 	for k := 1; k < len(grid); k++ {
 		cur := sign(grid[k])
 		if cur != prev && prev != 0 && cur != 0 {
-			if x, err := Crossover(a, b, m, grid[k-1], grid[k]); err == nil {
+			if x, err := crossover(&ka, &kb, m, grid[k-1], grid[k]); err == nil {
 				out = append(out, x)
 			}
 		}

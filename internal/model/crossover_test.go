@@ -151,7 +151,7 @@ func TestMetricString(t *testing.T) {
 		Metric(9).String() != "unknown" {
 		t.Error("metric names")
 	}
-	if !math.IsNaN(titanParams().valueAt(Metric(9), 1)) {
+	if !math.IsNaN(titanParams().MetricAt(Metric(9), 1)) {
 		t.Error("unknown metric should evaluate to NaN")
 	}
 	if got := titanParams().MetricAt(MetricAvgPower, 1); got != float64(titanParams().AvgPowerAt(1)) {

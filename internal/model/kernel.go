@@ -4,22 +4,24 @@ import (
 	"math"
 )
 
-// Kernel is the table-driven evaluator behind the sweep hot paths: the
-// handful of float64 coefficients eqs. (2), (4), and (7) need, computed
-// once per Params value (and therefore once per platform, precision,
-// DVFS setting, or cap fraction), so that evaluating one grid point is
-// straight-line float math — no interface dispatch, no map lookups,
-// and zero allocations.
+// Kernel is the model's per-intensity evaluator and the only
+// implementation of eqs. (2), (4), and (7) at a point: the handful of
+// float64 coefficients those equations need, computed once per Params
+// value (and therefore once per platform, precision, DVFS setting, or
+// cap fraction), so that evaluating one grid point is straight-line
+// float math — no interface dispatch, no map lookups, and zero
+// allocations. The Params per-intensity methods are typed front ends
+// that build a kernel and delegate to it; callers evaluating one
+// machine at many intensities should build the kernel once instead.
 //
-// Every per-point method replicates the corresponding Params method's
-// floating-point operation sequence exactly, with the intensity-
-// independent subexpressions (B_tau, pi_flop, pi_mem, B_tau^±, the
-// Powerful predicate) hoisted to construction time. IEEE-754 arithmetic
-// is deterministic, so hoisting a subexpression that does not depend on
-// the grid point cannot change any result bit: Kernel output is
-// bit-identical to Params output for every input, which the
-// TestKernelMatchesParamsBitwise pin enforces across the platform
-// database.
+// The intensity-independent subexpressions (B_tau, pi_flop, pi_mem,
+// B_tau^±, the Powerful predicate) are hoisted to construction time.
+// IEEE-754 arithmetic is deterministic, so hoisting a subexpression
+// that does not depend on the grid point cannot change any result bit:
+// Kernel output is bit-identical to the equations evaluated term by
+// term on Params, which TestKernelMatchesParamsBitwise (across the
+// platform database) and FuzzKernelMatchesReference (across arbitrary
+// valid machines) check against the test-only reference formulas.
 //
 // The fields are intentionally raw float64 — several (the cap terms,
 // reciprocal balances) have dimensions no units type names. The single
@@ -41,28 +43,35 @@ type Kernel struct {
 }
 
 // NewKernel precomputes the coefficient table for p. Construction costs
-// a few dozen flops; callers sweeping the same machine should build the
-// kernel once and reuse it across grid points and requests.
+// a few dozen flops (B_tau, pi_flop, and pi_mem are derived once and
+// reused for B_tau^± and the Powerful predicate); callers sweeping the
+// same machine should build the kernel once and reuse it across grid
+// points and requests.
 func NewKernel(p Params) Kernel {
-	return Kernel{
-		tf:       float64(p.TauFlop),
-		tm:       float64(p.TauMem),
-		ef:       float64(p.EpsFlop),
-		em:       float64(p.EpsMem),
-		pi1:      p.Pi1.Watts(),
-		dp:       p.DeltaPi.Watts(),
-		bt:       p.TimeBalance().Ratio(),
-		pf:       p.PiFlop().Watts(),
-		pm:       p.PiMem().Watts(),
-		btPlus:   p.TimeBalancePlus().Ratio(),
-		btMinus:  p.TimeBalanceMinus().Ratio(),
-		powerful: p.Powerful(),
+	k := Kernel{
+		tf:  float64(p.TauFlop),
+		tm:  float64(p.TauMem),
+		ef:  float64(p.EpsFlop),
+		em:  float64(p.EpsMem),
+		pi1: p.Pi1.Watts(),
+		dp:  p.DeltaPi.Watts(),
+		bt:  p.TimeBalance().Ratio(),
+		pf:  p.PiFlop().Watts(),
+		pm:  p.PiMem().Watts(),
 	}
+	k.btPlus = timeBalancePlus(k.bt, k.pf, k.pm, k.dp)
+	k.btMinus = timeBalanceMinus(k.bt, k.pf, k.pm, k.dp)
+	k.powerful = k.dp >= k.pf+k.pm // Params.Powerful
+	return k
 }
 
-// timePerFlopAt is T/W from eq. (4), Params.timePerFlopAt with the
-// balance ratio read from the table.
-func (k *Kernel) timePerFlopAt(iv float64) float64 {
+// timePerFlop is T/W from eq. (4):
+//
+//	T/W = tau_flop * max(1, B_tau/I, (pi_flop/DeltaPi)(1 + B_eps/I))
+//
+// with the cap term written as (eps_flop + eps_mem/I)/DeltaPi/tau_flop,
+// which also covers eps_flop = 0.
+func (k *Kernel) timePerFlop(iv float64) float64 {
 	capTerm := 0.0
 	if dyn := k.ef + k.em/iv; dyn > 0 {
 		capTerm = dyn / k.dp / k.tf
@@ -70,19 +79,21 @@ func (k *Kernel) timePerFlopAt(iv float64) float64 {
 	return k.tf * math.Max(1, math.Max(k.bt/iv, capTerm))
 }
 
-// FlopRateAt is Params.FlopRateAt on a raw intensity ratio.
+// FlopRateAt is the achieved throughput W/T (flop/s) at intensity ratio
+// iv; zero for non-positive intensities and machines that cannot run.
 func (k *Kernel) FlopRateAt(iv float64) float64 {
 	if iv <= 0 {
 		return 0
 	}
-	t := k.timePerFlopAt(iv)
+	t := k.timePerFlop(iv)
 	if t <= 0 || math.IsInf(t, 1) {
 		return 0
 	}
 	return 1 / t
 }
 
-// FlopRateAtUncapped is Params.FlopRateAtUncapped on a raw ratio.
+// FlopRateAtUncapped is the prior uncapped model's throughput,
+// 1/(tau_flop max(1, B_tau/I)).
 func (k *Kernel) FlopRateAtUncapped(iv float64) float64 {
 	if iv <= 0 {
 		return 0
@@ -91,16 +102,19 @@ func (k *Kernel) FlopRateAtUncapped(iv float64) float64 {
 	return 1 / t
 }
 
-// EnergyPerFlopAt is Params.EnergyPerFlopAt on a raw ratio.
+// EnergyPerFlopAt is E/W (J/flop) from eq. (2):
+//
+//	E/W = eps_flop (1 + B_eps/I) + pi_1 T/W
 func (k *Kernel) EnergyPerFlopAt(iv float64) float64 {
 	if iv <= 0 {
 		return math.Inf(1)
 	}
 	dyn := k.ef + k.em/iv
-	return dyn + k.pi1*k.timePerFlopAt(iv)
+	return dyn + k.pi1*k.timePerFlop(iv)
 }
 
-// FlopsPerJouleAt is Params.FlopsPerJouleAt on a raw ratio.
+// FlopsPerJouleAt is the energy efficiency W/E (flop/J), zero where the
+// energy per flop is non-positive or infinite.
 func (k *Kernel) FlopsPerJouleAt(iv float64) float64 {
 	e := k.EnergyPerFlopAt(iv)
 	if e <= 0 || math.IsInf(e, 1) {
@@ -109,8 +123,10 @@ func (k *Kernel) FlopsPerJouleAt(iv float64) float64 {
 	return 1 / e
 }
 
-// AvgPowerAt is eq. (7), Params.AvgPowerAt with the cap interval edges
-// read from the table.
+// AvgPowerAt is the average power E/T (W) of eq. (7): pi_1 + pi_flop +
+// pi_mem B_tau/I at or above B_tau^+, pi_1 + pi_flop I/B_tau + pi_mem
+// at or below B_tau^-, and pi_1 + DeltaPi in between. NaN for
+// non-positive intensities.
 func (k *Kernel) AvgPowerAt(iv float64) float64 {
 	if iv <= 0 {
 		return math.NaN()
@@ -125,7 +141,10 @@ func (k *Kernel) AvgPowerAt(iv float64) float64 {
 	}
 }
 
-// RegimeAt is Params.RegimeAt on a raw ratio.
+// RegimeAt classifies iv against the cap interval [B_tau^-, B_tau^+].
+// When the cap never binds (Powerful), intensities below B_tau are
+// memory-bound and those at or above are compute-bound; a NaN intensity
+// is cap-bound.
 func (k *Kernel) RegimeAt(iv float64) Regime {
 	if math.IsNaN(iv) {
 		return CapBound
@@ -146,8 +165,8 @@ func (k *Kernel) RegimeAt(iv float64) Regime {
 	}
 }
 
-// ThrottleFactor is Params.ThrottleFactor on a raw ratio: the capped
-// over uncapped time of the unit-flop workload (W=1, Q=1/I).
+// ThrottleFactor is the capped over the uncapped time of eq. (3) for
+// the unit-flop workload (W=1, Q=1/I); 1 for non-positive intensities.
 func (k *Kernel) ThrottleFactor(iv float64) float64 {
 	if iv <= 0 {
 		return 1
@@ -167,7 +186,7 @@ func (k *Kernel) ThrottleFactor(iv float64) float64 {
 	return tc / tu
 }
 
-// MetricAt is Params.MetricAt on a raw ratio.
+// MetricAt evaluates metric m at iv; NaN for an unknown metric.
 func (k *Kernel) MetricAt(m Metric, iv float64) float64 {
 	switch m {
 	case MetricFlopRate:

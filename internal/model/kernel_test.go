@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -67,51 +68,110 @@ func kernelGrid() []float64 {
 	return out
 }
 
-// TestKernelMatchesParamsBitwise is the refactor's contract: every
-// Kernel per-point method must reproduce the corresponding Params
-// method bit for bit — not approximately — on every platform, both
-// precisions, every cap setting, across the whole probe grid.
+// TestKernelMatchesParamsBitwise is the evaluator's contract: every
+// Kernel per-point method, and every Params method that fronts it, must
+// reproduce the reference formulas (reference_test.go) bit for bit — not
+// approximately — on every platform, both precisions, every cap
+// setting, across the whole probe grid.
 func TestKernelMatchesParamsBitwise(t *testing.T) {
 	grid := kernelGrid()
 	for name, p := range kernelCases(t) {
 		k := model.NewKernel(p)
 		for _, iv := range grid {
-			i := units.Intensity(iv)
-			checks := []struct {
-				what      string
-				got, want float64
-			}{
-				{"FlopRateAt", k.FlopRateAt(iv), float64(p.FlopRateAt(i))},
-				{"FlopRateAtUncapped", k.FlopRateAtUncapped(iv), float64(p.FlopRateAtUncapped(i))},
-				{"EnergyPerFlopAt", k.EnergyPerFlopAt(iv), float64(p.EnergyPerFlopAt(i))},
-				{"FlopsPerJouleAt", k.FlopsPerJouleAt(iv), float64(p.FlopsPerJouleAt(i))},
-				{"AvgPowerAt", k.AvgPowerAt(iv), p.AvgPowerAt(i).Watts()},
-				{"ThrottleFactor", k.ThrottleFactor(iv), p.ThrottleFactor(i)},
-				{"MetricAt(rate)", k.MetricAt(model.MetricFlopRate, iv), p.MetricAt(model.MetricFlopRate, i)},
-				{"MetricAt(eff)", k.MetricAt(model.MetricFlopsPerJoule, iv), p.MetricAt(model.MetricFlopsPerJoule, i)},
-				{"MetricAt(power)", k.MetricAt(model.MetricAvgPower, iv), p.MetricAt(model.MetricAvgPower, i)},
-			}
-			for _, c := range checks {
-				if math.Float64bits(c.got) != math.Float64bits(c.want) {
-					t.Fatalf("%s: %s(%g) = %x (%g), Params gives %x (%g)",
-						name, c.what, iv, math.Float64bits(c.got), c.got,
-						math.Float64bits(c.want), c.want)
-				}
-			}
-			if got, want := k.RegimeAt(iv), p.RegimeAt(i); got != want {
-				t.Fatalf("%s: RegimeAt(%g) = %v, Params gives %v", name, iv, got, want)
+			if err := kernelDiff(p, &k, iv, false); err != "" {
+				t.Fatalf("%s: %s", name, err)
 			}
 		}
 		// NaN intensity exercises the regime classifier's explicit
 		// NaN branch and eq. (7)'s fall-through arm.
 		nan := math.NaN()
-		if got, want := k.RegimeAt(nan), p.RegimeAt(units.Intensity(nan)); got != want {
-			t.Fatalf("%s: RegimeAt(NaN) = %v, Params gives %v", name, got, want)
+		if got, want := k.RegimeAt(nan), refRegimeAt(p, units.Intensity(nan)); got != want {
+			t.Fatalf("%s: RegimeAt(NaN) = %v, reference gives %v", name, got, want)
 		}
-		if got, want := k.AvgPowerAt(nan), p.AvgPowerAt(units.Intensity(nan)).Watts(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: AvgPowerAt(NaN) = %g, Params gives %g", name, got, want)
+		if got, want := k.AvgPowerAt(nan), refAvgPowerAt(p, units.Intensity(nan)).Watts(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: AvgPowerAt(NaN) = %g, reference gives %g", name, got, want)
 		}
 	}
+}
+
+// kernelDiff compares every per-point output of k and of p's Params
+// front end against the reference formulas at intensity iv, returning a
+// description of the first divergence or "". Two values agree when
+// their bits are equal or, with anyNaN, when both are NaN of any
+// payload.
+func kernelDiff(p model.Params, k *model.Kernel, iv float64, anyNaN bool) string {
+	i := units.Intensity(iv)
+	checks := []struct {
+		what      string
+		got, want float64
+	}{
+		{"FlopRateAt", k.FlopRateAt(iv), float64(refFlopRateAt(p, i))},
+		{"FlopRateAtUncapped", k.FlopRateAtUncapped(iv), float64(refFlopRateAtUncapped(p, i))},
+		{"EnergyPerFlopAt", k.EnergyPerFlopAt(iv), float64(refEnergyPerFlopAt(p, i))},
+		{"FlopsPerJouleAt", k.FlopsPerJouleAt(iv), float64(refFlopsPerJouleAt(p, i))},
+		{"AvgPowerAt", k.AvgPowerAt(iv), refAvgPowerAt(p, i).Watts()},
+		{"ThrottleFactor", k.ThrottleFactor(iv), refThrottleFactor(p, i)},
+		{"MetricAt(rate)", k.MetricAt(model.MetricFlopRate, iv), refValueAt(p, model.MetricFlopRate, i)},
+		{"MetricAt(eff)", k.MetricAt(model.MetricFlopsPerJoule, iv), refValueAt(p, model.MetricFlopsPerJoule, i)},
+		{"MetricAt(power)", k.MetricAt(model.MetricAvgPower, iv), refValueAt(p, model.MetricAvgPower, i)},
+		{"MetricAt(unknown)", k.MetricAt(model.Metric(9), iv), refValueAt(p, model.Metric(9), i)},
+		{"Params.FlopRateAt", float64(p.FlopRateAt(i)), float64(refFlopRateAt(p, i))},
+		{"Params.FlopRateAtUncapped", float64(p.FlopRateAtUncapped(i)), float64(refFlopRateAtUncapped(p, i))},
+		{"Params.EnergyPerFlopAt", float64(p.EnergyPerFlopAt(i)), float64(refEnergyPerFlopAt(p, i))},
+		{"Params.FlopsPerJouleAt", float64(p.FlopsPerJouleAt(i)), float64(refFlopsPerJouleAt(p, i))},
+		{"Params.AvgPowerAt", p.AvgPowerAt(i).Watts(), refAvgPowerAt(p, i).Watts()},
+		{"Params.ThrottleFactor", p.ThrottleFactor(i), refThrottleFactor(p, i)},
+		{"Params.MetricAt(eff)", p.MetricAt(model.MetricFlopsPerJoule, i), refValueAt(p, model.MetricFlopsPerJoule, i)},
+	}
+	for _, c := range checks {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) && !(anyNaN && math.IsNaN(c.got) && math.IsNaN(c.want)) {
+			return fmt.Sprintf("%s(%g) = %x (%g), reference gives %x (%g)",
+				c.what, iv, math.Float64bits(c.got), c.got, math.Float64bits(c.want), c.want)
+		}
+	}
+	want := refRegimeAt(p, i)
+	if got := k.RegimeAt(iv); got != want {
+		return fmt.Sprintf("RegimeAt(%g) = %v, reference gives %v", iv, got, want)
+	}
+	if got := p.RegimeAt(i); got != want {
+		return fmt.Sprintf("Params.RegimeAt(%g) = %v, reference gives %v", iv, got, want)
+	}
+	return ""
+}
+
+// FuzzKernelMatchesReference extends the bit-identity contract from
+// the platform database to arbitrary valid machines: any parameters
+// Params.Validate accepts, any cap fraction, any intensity. The seeds
+// are Table I rows, so a plain `go test` replays them.
+func FuzzKernelMatchesReference(f *testing.F) {
+	for _, id := range []machine.ID{"gtx-titan", "arndale-gpu", "xeon-phi", "desktop-cpu"} {
+		p := machine.MustByID(id).Single
+		for _, c := range []struct{ frac, iv float64 }{{1, 0.25}, {0.5, 4}, {0.125, 64}} {
+			f.Add(float64(p.TauFlop), float64(p.TauMem), float64(p.EpsFlop), float64(p.EpsMem),
+				p.Pi1.Watts(), p.DeltaPi.Watts(), c.frac, c.iv)
+		}
+	}
+	f.Fuzz(func(t *testing.T, tauFlop, tauMem, epsFlop, epsMem, pi1, deltaPi, capFrac, iv float64) {
+		p := model.Params{
+			TauFlop: units.TimePerFlop(tauFlop),
+			TauMem:  units.TimePerByte(tauMem),
+			EpsFlop: units.EnergyPerFlop(epsFlop),
+			EpsMem:  units.EnergyPerByte(epsMem),
+			Pi1:     units.Power(pi1),
+			DeltaPi: units.Power(deltaPi),
+		}
+		if p.Validate() != nil {
+			t.Skip()
+		}
+		p, err := p.WithCap(capFrac)
+		if err != nil || p.Validate() != nil {
+			t.Skip()
+		}
+		k := model.NewKernel(p)
+		if d := kernelDiff(p, &k, iv, true); d != "" {
+			t.Fatalf("%+v: %s", p, d)
+		}
+	})
 }
 
 // TestKernelPointAtMatchesMethods: the bundled Point carries exactly

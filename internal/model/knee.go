@@ -26,13 +26,14 @@ func (p Params) RequiredIntensityForRate(frac float64) (units.Intensity, error) 
 	if frac <= 0 || frac > 1 {
 		return 0, errors.New("model: fraction must be in (0, 1]")
 	}
+	k := NewKernel(p)
 	// Peak achievable rate: eq. (4) as I -> inf.
-	peak := float64(p.FlopRateAt(units.Intensity(math.Inf(1))))
+	peak := k.FlopRateAt(math.Inf(1))
 	if peak <= 0 {
 		return 0, errors.New("model: machine has no peak rate")
 	}
 	target := frac * peak
-	f := func(i float64) bool { return float64(p.FlopRateAt(units.Intensity(i))) >= target*(1-1e-12) }
+	f := func(i float64) bool { return k.FlopRateAt(i) >= target*(1-1e-12) }
 	return bisectIntensity(f)
 }
 
@@ -50,10 +51,9 @@ func (p Params) RequiredIntensityForEfficiency(frac float64) (units.Intensity, e
 	if peak <= 0 || math.IsInf(peak, 0) {
 		return 0, errors.New("model: machine has no finite peak efficiency")
 	}
+	k := NewKernel(p)
 	target := frac * peak
-	f := func(i float64) bool {
-		return float64(p.FlopsPerJouleAt(units.Intensity(i))) >= target*(1-1e-12)
-	}
+	f := func(i float64) bool { return k.FlopsPerJouleAt(i) >= target*(1-1e-12) }
 	return bisectIntensity(f)
 }
 

@@ -111,12 +111,18 @@ func (p Params) Powerful() bool {
 // capped and the compute-bound regime never applies, so the result is
 // +Inf.
 func (p Params) TimeBalancePlus() units.Intensity {
-	bt := p.TimeBalance().Ratio()
-	headroom := p.DeltaPi.Watts() - p.PiFlop().Watts()
+	return units.Intensity(timeBalancePlus(p.TimeBalance().Ratio(),
+		p.PiFlop().Watts(), p.PiMem().Watts(), p.DeltaPi.Watts()))
+}
+
+// timeBalancePlus is eq. (5) on raw B_tau, pi_flop, pi_mem, and DeltaPi,
+// shared with NewKernel so it derives those once.
+func timeBalancePlus(bt, pf, pm, dp float64) float64 {
+	headroom := dp - pf
 	if headroom <= 0 {
-		return units.Intensity(math.Inf(1))
+		return math.Inf(1)
 	}
-	return units.Intensity(bt * math.Max(1, p.PiMem().Watts()/headroom))
+	return bt * math.Max(1, pm/headroom)
 }
 
 // TimeBalanceMinus is B_tau^- of eq. (6): the lower edge of the cap-bound
@@ -124,16 +130,21 @@ func (p Params) TimeBalancePlus() units.Intensity {
 // pure-streaming workload is capped and the memory-bound regime never
 // applies).
 func (p Params) TimeBalanceMinus() units.Intensity {
-	bt := p.TimeBalance().Ratio()
-	headroom := p.DeltaPi.Watts() - p.PiMem().Watts()
+	return units.Intensity(timeBalanceMinus(p.TimeBalance().Ratio(),
+		p.PiFlop().Watts(), p.PiMem().Watts(), p.DeltaPi.Watts()))
+}
+
+// timeBalanceMinus is eq. (6) on raw B_tau, pi_flop, pi_mem, and
+// DeltaPi, shared with NewKernel.
+func timeBalanceMinus(bt, pf, pm, dp float64) float64 {
+	headroom := dp - pm
 	if headroom <= 0 {
 		return 0
 	}
-	pf := p.PiFlop().Watts()
 	if pf == 0 {
-		return units.Intensity(bt)
+		return bt
 	}
-	return units.Intensity(bt * math.Min(1, headroom/pf))
+	return bt * math.Min(1, headroom/pf)
 }
 
 // Time is the capped best-case execution time of eq. (3):
@@ -183,25 +194,11 @@ func (p Params) AvgPower(w units.Flops, q units.Bytes) units.Power {
 	return p.Energy(w, q).Over(p.Time(w, q))
 }
 
-// AvgPowerAt evaluates the closed-form eq. (7) at intensity I. It equals
-// AvgPower(W, W/I) for any W > 0.
+// AvgPowerAt evaluates the closed-form eq. (7) at intensity I (see
+// Kernel.AvgPowerAt). It equals AvgPower(W, W/I) for any W > 0.
 func (p Params) AvgPowerAt(i units.Intensity) units.Power {
-	if i <= 0 {
-		return units.Power(math.NaN())
-	}
-	pi1 := p.Pi1.Watts()
-	pf := p.PiFlop().Watts()
-	pm := p.PiMem().Watts()
-	bt := p.TimeBalance().Ratio()
-	iv := i.Ratio()
-	switch {
-	case iv >= p.TimeBalancePlus().Ratio():
-		return units.Power(pi1 + pf + pm*bt/iv)
-	case iv <= p.TimeBalanceMinus().Ratio():
-		return units.Power(pi1 + pf*iv/bt + pm)
-	default:
-		return units.Power(pi1 + p.DeltaPi.Watts())
-	}
+	k := NewKernel(p)
+	return units.Power(k.AvgPowerAt(i.Ratio()))
 }
 
 // PeakAvgPower is the maximum of eq. (7) over intensity: pi_1 + pi_flop +
@@ -212,61 +209,30 @@ func (p Params) PeakAvgPower() units.Power {
 	return units.Power(p.Pi1.Watts() + dyn)
 }
 
-// FlopRateAt is the achieved computational throughput W/T at intensity I,
-// the quantity plotted in fig. 1 (left panel) and fig. 7a. From eq. (4):
-//
-//	T/W = tau_flop * max(1, B_tau/I, (pi_flop/DeltaPi)(1 + B_eps/I))
+// FlopRateAt is the achieved computational throughput W/T at intensity I
+// from eq. (4), the quantity plotted in fig. 1 (left panel) and fig. 7a.
 func (p Params) FlopRateAt(i units.Intensity) units.FlopRate {
-	if i <= 0 {
-		return 0
-	}
-	t := p.timePerFlopAt(i)
-	if t <= 0 || math.IsInf(t, 1) {
-		return 0
-	}
-	return units.FlopRate(1 / t)
+	k := NewKernel(p)
+	return units.FlopRate(k.FlopRateAt(i.Ratio()))
 }
 
 // FlopRateAtUncapped is the uncapped model's throughput at intensity I.
 func (p Params) FlopRateAtUncapped(i units.Intensity) units.FlopRate {
-	if i <= 0 {
-		return 0
-	}
-	t := float64(p.TauFlop) * math.Max(1, p.TimeBalance().Ratio()/i.Ratio())
-	return units.FlopRate(1 / t)
+	k := NewKernel(p)
+	return units.FlopRate(k.FlopRateAtUncapped(i.Ratio()))
 }
 
-// timePerFlopAt is T/W from eq. (4) (seconds per flop at intensity I).
-func (p Params) timePerFlopAt(i units.Intensity) float64 {
-	tf := float64(p.TauFlop)
-	bt := p.TimeBalance().Ratio()
-	iv := i.Ratio()
-	capTerm := 0.0
-	if dyn := float64(p.EpsFlop) + float64(p.EpsMem)/iv; dyn > 0 {
-		capTerm = dyn / p.DeltaPi.Watts() / tf // (pi_flop/DeltaPi)(1+B_eps/I) when eps_flop>0
-	}
-	return tf * math.Max(1, math.Max(bt/iv, capTerm))
-}
-
-// EnergyPerFlopAt is E/W at intensity I from eq. (2):
-//
-//	E/W = eps_flop (1 + B_eps/I) + pi_1 T/W
+// EnergyPerFlopAt is E/W at intensity I from eq. (2).
 func (p Params) EnergyPerFlopAt(i units.Intensity) units.EnergyPerFlop {
-	if i <= 0 {
-		return units.EnergyPerFlop(math.Inf(1))
-	}
-	dyn := float64(p.EpsFlop) + float64(p.EpsMem)/i.Ratio()
-	return units.EnergyPerFlop(dyn + p.Pi1.Watts()*p.timePerFlopAt(i))
+	k := NewKernel(p)
+	return units.EnergyPerFlop(k.EnergyPerFlopAt(i.Ratio()))
 }
 
 // FlopsPerJouleAt is the energy efficiency W/E at intensity I, the
 // quantity plotted in fig. 1 (middle panel) and fig. 7b.
 func (p Params) FlopsPerJouleAt(i units.Intensity) units.FlopsPerJoule {
-	e := float64(p.EnergyPerFlopAt(i))
-	if e <= 0 || math.IsInf(e, 1) {
-		return 0
-	}
-	return units.FlopsPerJoule(1 / e)
+	k := NewKernel(p)
+	return units.FlopsPerJoule(k.FlopsPerJouleAt(i.Ratio()))
 }
 
 // PeakFlopsPerJoule is the asymptotic (I -> inf) energy efficiency:

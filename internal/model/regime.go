@@ -1,10 +1,6 @@
 package model
 
-import (
-	"math"
-
-	"archline/internal/units"
-)
+import "archline/internal/units"
 
 // Regime classifies which term of eq. (3)'s max dominates at a given
 // intensity: the memory-bandwidth term, the power-cap term, or the
@@ -48,27 +44,10 @@ func (r Regime) Letter() string {
 }
 
 // RegimeAt classifies intensity i against the machine's cap interval
-// [B_tau^-, B_tau^+]. When the cap never binds (Powerful), intensities
-// below B_tau are memory-bound and those at or above are compute-bound.
+// [B_tau^-, B_tau^+] (see Kernel.RegimeAt).
 func (p Params) RegimeAt(i units.Intensity) Regime {
-	iv := i.Ratio()
-	if math.IsNaN(iv) {
-		return CapBound
-	}
-	if p.Powerful() {
-		if iv < p.TimeBalance().Ratio() {
-			return MemoryBound
-		}
-		return ComputeBound
-	}
-	switch {
-	case iv >= p.TimeBalancePlus().Ratio():
-		return ComputeBound
-	case iv <= p.TimeBalanceMinus().Ratio():
-		return MemoryBound
-	default:
-		return CapBound
-	}
+	k := NewKernel(p)
+	return k.RegimeAt(i.Ratio())
 }
 
 // ThrottleFactor is the slowdown the cap imposes at intensity i: the
@@ -76,17 +55,8 @@ func (p Params) RegimeAt(i units.Intensity) Regime {
 // workload. A value of 1 means the cap does not bind; the paper's "by how
 // much flops and memory operations should slow down" prediction.
 func (p Params) ThrottleFactor(i units.Intensity) float64 {
-	if i <= 0 {
-		return 1
-	}
-	w := units.Flops(1)
-	q := units.Intensity(i).Bytes(w)
-	tu := p.TimeUncapped(w, q).Seconds()
-	tc := p.Time(w, q).Seconds()
-	if tu <= 0 {
-		return 1
-	}
-	return tc / tu
+	k := NewKernel(p)
+	return k.ThrottleFactor(i.Ratio())
 }
 
 // CapBindingRange returns the intensity interval [lo, hi] over which the

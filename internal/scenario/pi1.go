@@ -55,8 +55,9 @@ func Pi1Reduction(platforms []*machine.Platform, lo, hi units.Intensity) ([]Pi1S
 			p := plat.Single
 			p.Pi1 = units.Power(p.Pi1.Watts() * f)
 			minP, maxP := 0.0, 0.0
+			kern := model.NewKernel(p)
 			for k, i := range grid {
-				v := p.AvgPowerAt(i).Watts()
+				v := kern.AvgPowerAt(i.Ratio())
 				if k == 0 || v < minP {
 					minP = v
 				}

@@ -292,8 +292,9 @@ func ConstantPowerAnalysis(platforms []*machine.Platform, lo, hi units.Intensity
 		eff = append(eff, float64(p.Single.PeakFlopsPerJoule()))
 
 		minP, maxP := math.Inf(1), 0.0
+		k := model.NewKernel(p.Single)
 		for _, i := range grid {
-			v := p.Single.AvgPowerAt(i).Watts()
+			v := k.AvgPowerAt(i.Ratio())
 			minP = math.Min(minP, v)
 			maxP = math.Max(maxP, v)
 		}

@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBatchDuplicateItemsSingleEval: N identical items in one batch go
@@ -504,5 +506,105 @@ func BenchmarkSweepStream(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+	}
+}
+
+// rawRequest renders one HTTP/1.1 request for writing straight onto a
+// TCP connection, bypassing the client's read loop.
+func rawRequest(method, path, body string) string {
+	return fmt.Sprintf("%s %s HTTP/1.1\r\nHost: archlined\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		method, path, len(body), body)
+}
+
+// TestStalledStreamReaderReleasesHandler: a client that asks for the
+// largest stream over raw TCP and never reads a byte of the response
+// cannot pin the handler past its deadline. A context deadline cannot
+// unblock a TCP write; the connection's write deadline can.
+func TestStalledStreamReaderReleasesHandler(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: 500 * time.Millisecond})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := fmt.Sprintf(`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":%d}`, streamMaxPoints)
+	if _, err := io.WriteString(conn, rawRequest("POST", "/v1/sweep/stream", body)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); s.ModelEvals() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stream handler never started")
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); s.Metrics().InFlight() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("handler still in flight 2s after a %v deadline: a stalled reader pins it", 500*time.Millisecond)
+		}
+	}
+}
+
+// TestStreamWriteDeadlineClearedForKeepAlive: the stream's write
+// deadline must not outlive its request, or it would fail the next
+// response on the same keep-alive connection.
+func TestStreamWriteDeadlineClearedForKeepAlive(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	_, ts := newTestServer(t, Config{RequestTimeout: timeout})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	roundTrip := func(method, path, body string) int {
+		t.Helper()
+		if _, err := io.WriteString(conn, rawRequest(method, path, body)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s %s on the kept-alive connection: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.ReadAll(resp.Body); err != nil {
+			t.Fatalf("%s %s body: %v", method, path, err)
+		}
+		return resp.StatusCode
+	}
+	if status := roundTrip("POST", "/v1/sweep/stream", `{"platform_id":"gtx-titan","points":10}`); status != http.StatusOK {
+		t.Fatalf("stream status = %d", status)
+	}
+	time.Sleep(2*timeout + streamWriteGrace) // past the stream's write deadline
+	if status := roundTrip("GET", "/healthz", ""); status != http.StatusOK {
+		t.Fatalf("follow-up status = %d", status)
+	}
+}
+
+// TestSweepStreamDeadlineTrailer: a client that keeps reading a stream
+// which outlives its request deadline still receives the whole
+// deadline_exceeded trailer, so the write deadline that releases
+// stalled readers must leave room past the request deadline.
+func TestSweepStreamDeadlineTrailer(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: 300 * time.Millisecond})
+	body := fmt.Sprintf(`{"platform_id":"gtx-titan","points":%d}`, streamMaxPoints)
+	resp, err := http.Post(ts.URL+"/v1/sweep/stream", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	var last []byte
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream cut short: %v", err)
+	}
+	var trailer streamTrailer
+	if err := json.Unmarshal(last, &trailer); err != nil || trailer.Error == nil {
+		t.Fatalf("last line is not an error trailer: %.200s (%v)", last, err)
+	}
+	if trailer.Done || trailer.Error.Code != "deadline_exceeded" || trailer.Points >= streamMaxPoints {
+		t.Errorf("trailer = %+v, want a deadline_exceeded trailer before the last point", trailer)
 	}
 }

@@ -257,10 +257,10 @@ type rooflineResponse struct {
 // sweepRoofline evaluates the model over the grid; it is the shared
 // compute behind the roofline endpoint. The grid points go through the
 // kernel (the balance/peak summary stays on Params — once per response,
-// off the hot path), evaluated on the fly with the LogSpace formula so
-// the grid is never materialized; finite throttles share one exact-size
-// backing array instead of a per-point nf box. The context bounds long
-// sweeps.
+// off the hot path) in 64-point runs of AppendLogSpace into a stack
+// buffer, so the grid is never materialized; finite throttles share one
+// exact-size backing array instead of a per-point nf box. The context,
+// checked once per run, bounds long sweeps.
 func sweepRoofline(ctx context.Context, id, name, precision string, p model.Params, k model.Kernel, g sweepGrid) (*rooflineResponse, *apiError) {
 	out := &rooflineResponse{
 		PlatformID: id, Name: name, Precision: precision,
@@ -278,27 +278,30 @@ func sweepRoofline(ctx context.Context, id, name, precision string, p model.Para
 	l0, l1 := math.Log(g.IMin), math.Log(g.IMax)
 	out.Points = make([]rooflinePoint, 0, g.Points)
 	throttles := make([]float64, g.Points)
-	for idx := 0; idx < g.Points; idx++ {
+	var buf [64]model.Point
+	for start := 0; start < g.Points; start += len(buf) {
 		// Sweeps are cheap but unbounded in points; honour the request
 		// deadline without paying a context check per point.
-		if idx%64 == 0 && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return nil, errTimeout()
 		}
-		frac := float64(idx) / float64(g.Points-1)
-		pt := k.PointAt(math.Exp(l0 + frac*(l1-l0)))
-		rp := rooflinePoint{
-			Intensity:           pt.Intensity,
-			Regime:              pt.Regime.Letter(),
-			FlopsPerSec:         pt.FlopsPerSec,
-			UncappedFlopsPerSec: pt.UncappedFlopsPerSec,
-			FlopsPerJoule:       pt.FlopsPerJoule,
-			AvgPowerW:           pt.AvgPowerW,
+		end := min(start+len(buf), g.Points)
+		for _, pt := range k.AppendLogSpace(buf[:0], l0, l1, start, end, g.Points) {
+			rp := rooflinePoint{
+				Intensity:           pt.Intensity,
+				Regime:              pt.Regime.Letter(),
+				FlopsPerSec:         pt.FlopsPerSec,
+				UncappedFlopsPerSec: pt.UncappedFlopsPerSec,
+				FlopsPerJoule:       pt.FlopsPerJoule,
+				AvgPowerW:           pt.AvgPowerW,
+			}
+			if t := pt.Throttle; !math.IsNaN(t) && !math.IsInf(t, 0) {
+				idx := len(out.Points)
+				throttles[idx] = t
+				rp.Throttle = &throttles[idx]
+			}
+			out.Points = append(out.Points, rp)
 		}
-		if t := pt.Throttle; !math.IsNaN(t) && !math.IsInf(t, 0) {
-			throttles[idx] = t
-			rp.Throttle = &throttles[idx]
-		}
-		out.Points = append(out.Points, rp)
 	}
 	return out, nil
 }

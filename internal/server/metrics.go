@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -13,22 +12,16 @@ import (
 	"archline/internal/obs"
 	"archline/internal/obs/agg"
 	"archline/internal/registry"
-	"archline/internal/stats"
 )
 
-// latWindowSize bounds how many recent latency samples each endpoint
-// keeps for quantile estimation.
-const latWindowSize = 1024
-
 // Metrics is the daemon's metrics surface, built on the shared
-// obs.Registry: request counts by endpoint and status, latency
-// histograms and sliding-window quantiles (computed with
-// internal/stats, the same quantile machinery as the paper's boxplots),
-// per-platform query counters, cache hit ratio, model-evaluation count,
-// in-flight gauge, resilience counters, and the obs layer's own
-// self-metrics. Render emits a Prometheus-style text exposition with
-// # HELP / # TYPE headers. The clock is injectable so the uptime line
-// is deterministic under test.
+// obs.Registry: request counts by endpoint and status, the latency
+// histogram (the one latency record; quantiles come from
+// histogram_quantile over its buckets), per-platform query counters,
+// cache hit ratio, model-evaluation count, in-flight gauge, resilience
+// counters, and the obs layer's own self-metrics. Render emits a
+// Prometheus-style text exposition with # HELP / # TYPE headers. The
+// clock is injectable so the uptime line is deterministic under test.
 //
 // The high-frequency request paths (request counts, latency samples,
 // per-platform counters) do not touch the registry directly: they
@@ -66,9 +59,6 @@ type Metrics struct {
 	flushMu   sync.Mutex
 	lastFlush time.Time // set only by FlushAgg (the counted interval flush)
 
-	mu        sync.Mutex
-	latencies map[string]*latWindow // endpoint -> recent seconds
-
 	// breakerProbe, when set, reports the circuit breaker's state and
 	// open count for the exposition.
 	breakerProbe func() (breakerState, int64)
@@ -85,29 +75,6 @@ type Metrics struct {
 	registryProbe func() registry.Stats
 }
 
-// latWindow is a fixed ring of recent latency samples in seconds.
-type latWindow struct {
-	buf  []float64
-	next int
-}
-
-func (w *latWindow) add(seconds float64) {
-	if len(w.buf) < latWindowSize {
-		w.buf = append(w.buf, seconds)
-		return
-	}
-	w.buf[w.next] = seconds
-	w.next = (w.next + 1) % latWindowSize
-}
-
-// samples returns a copy of the window's contents.
-func (w *latWindow) samples() []float64 {
-	return append([]float64(nil), w.buf...)
-}
-
-// latQuantiles are the exposed latency quantiles.
-var latQuantiles = []float64{0.5, 0.9, 0.99}
-
 // NewMetrics builds an empty registry on the wall clock.
 func NewMetrics() *Metrics { return newMetrics(time.Now) }
 
@@ -116,10 +83,9 @@ func NewMetrics() *Metrics { return newMetrics(time.Now) }
 func newMetrics(now func() time.Time) *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
-		start:     now(),
-		now:       now,
-		reg:       reg,
-		latencies: map[string]*latWindow{},
+		start: now(),
+		now:   now,
+		reg:   reg,
 	}
 	m.requests = reg.Counter("archlined_requests_total",
 		"finished requests by route pattern and HTTP status", "endpoint", "status")
@@ -215,28 +181,6 @@ func newMetrics(now func() time.Time) *Metrics {
 			}
 			emit(nil, math.Round(ratio*1e4)/1e4)
 		})
-	reg.Collect("archlined_request_latency_seconds",
-		"latency quantiles over a sliding sample window", "summary",
-		[]string{"endpoint", "quantile"}, func(emit func([]string, float64)) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			for _, e := range m.latencyEndpoints() {
-				samples := m.latencies[e].samples()
-				for _, q := range latQuantiles {
-					emit([]string{e, strconv.FormatFloat(q, 'g', -1, 64)},
-						stats.Quantile(samples, q))
-				}
-			}
-		})
-	reg.Collect("archlined_request_latency_samples",
-		"sliding-window population behind the latency quantiles", "gauge",
-		[]string{"endpoint"}, func(emit func([]string, float64)) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			for _, e := range m.latencyEndpoints() {
-				emit([]string{e}, float64(len(m.latencies[e].buf)))
-			}
-		})
 	reg.Collect("archlined_breaker_state",
 		"circuit breaker state (0 closed, 1 half-open, 2 open)", "gauge", nil,
 		func(emit func([]string, float64)) {
@@ -318,7 +262,8 @@ func newMetrics(now func() time.Time) *Metrics {
 			}
 		})
 	reg.Collect("archlined_registry_invalidations_total",
-		"cache invalidation sweeps triggered by re-uploads and deletes", "counter", nil,
+		"platform version bumps (content-changing re-uploads and deletes) that retire cached responses",
+		"counter", nil,
 		func(emit func([]string, float64)) {
 			if m.registryProbe != nil {
 				emit(nil, float64(m.registryProbe().Invalidations))
@@ -346,17 +291,6 @@ func newMetrics(now func() time.Time) *Metrics {
 	return m
 }
 
-// latencyEndpoints returns the latency-window keys sorted; the caller
-// holds m.mu.
-func (m *Metrics) latencyEndpoints() []string {
-	eps := make([]string, 0, len(m.latencies))
-	for e := range m.latencies {
-		eps = append(eps, e)
-	}
-	sort.Strings(eps)
-	return eps
-}
-
 // noteRequest records one finished request. The write is two striped
 // aggregation updates — no registry family lock, no allocation — and
 // the data reaches the exposition at the next flush.
@@ -373,25 +307,13 @@ func (m *Metrics) notePlatformQuery(id string) {
 	m.aggPlatSet.Insert(id)
 }
 
-// sinkLatency is the latency timer's flush sink: the single recording
-// call in noteRequest feeds both latency surfaces from here — the
-// duration histogram and the sliding-window quantiles — so the two can
-// never double-count or drift apart.
+// sinkLatency is the latency timer's flush sink: it drains the samples
+// noteRequest recorded into the duration histogram, the daemon's only
+// latency record.
 func (m *Metrics) sinkLatency(labels []string, samples []float64) {
-	endpoint := labels[0]
-	h := m.duration.With(endpoint)
+	h := m.duration.With(labels[0])
 	for _, s := range samples {
 		h.Observe(s)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.latencies[endpoint]
-	if !ok {
-		w = &latWindow{}
-		m.latencies[endpoint] = w
-	}
-	for _, s := range samples {
-		w.add(s)
 	}
 }
 

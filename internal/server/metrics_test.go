@@ -33,8 +33,8 @@ func fixedMetrics() *Metrics {
 
 // TestMetricsGoldenExposition pins the full exposition byte-for-byte:
 // the injected clock makes the uptime line deterministic, single
-// latency samples make every quantile trivially predictable, and a
-// second render must reproduce identical bytes.
+// latency samples land in predictable histogram buckets, and a second
+// render must reproduce identical bytes.
 func TestMetricsGoldenExposition(t *testing.T) {
 	m := fixedMetrics()
 	m.noteRequest("/v1/platforms", 200, 250*time.Millisecond)
@@ -94,15 +94,15 @@ func TestMetricsConcurrentRender(t *testing.T) {
 	if got := m.Requests(); got != 1600 {
 		t.Errorf("requests total = %v, want 1600", got)
 	}
-	if !strings.Contains(m.Render(), `archlined_request_latency_samples{endpoint="/v1/query"} 1024`) {
-		t.Error("latency window did not report its full population")
+	if !strings.Contains(m.Render(), `archlined_request_duration_seconds_count{endpoint="/v1/query"} 1600`) {
+		t.Error("latency histogram did not count every request")
 	}
 }
 
-// TestLatencyPathsAgree pins the double-accounting fix: one noteRequest
-// call feeds both latency surfaces through a single aggregation sink,
-// so every endpoint in the sliding-window summary also has duration
-// histogram counts, and the two populations are equal.
+// TestLatencyPathsAgree pins the single latency pipeline: each
+// noteRequest call reaches the duration histogram exactly once through
+// the aggregation sink, so every endpoint's histogram count equals its
+// request count.
 func TestLatencyPathsAgree(t *testing.T) {
 	m := fixedMetrics()
 	m.noteRequest("/v1/query", 200, 10*time.Millisecond)
@@ -116,13 +116,9 @@ func TestLatencyPathsAgree(t *testing.T) {
 		{"/v1/query", 2},
 		{"/healthz", 1},
 	} {
-		window := `archlined_request_latency_samples{endpoint="` + c.endpoint + `"} ` + strconv.Itoa(c.n)
 		histo := `archlined_request_duration_seconds_count{endpoint="` + c.endpoint + `"} ` + strconv.Itoa(c.n)
-		quant := `archlined_request_latency_seconds{endpoint="` + c.endpoint + `",quantile="0.99"}`
-		for _, want := range []string{window, histo, quant} {
-			if !strings.Contains(exp, want) {
-				t.Errorf("exposition missing %q", want)
-			}
+		if !strings.Contains(exp, histo) {
+			t.Errorf("exposition missing %q", histo)
 		}
 	}
 }
@@ -203,22 +199,6 @@ func TestPlatformQueryCardinalityCap(t *testing.T) {
 	}
 	if !strings.Contains(exp, `archlined_agg_dropped_series_total{family="platform_queries"} 44`) {
 		t.Errorf("44 over-cap recordings were not counted dropped:\n%s", exp)
-	}
-}
-
-// TestLatencyWindowWraps fills one endpooint's ring past capacity and
-// checks the sample population saturates at the window size.
-func TestLatencyWindowWraps(t *testing.T) {
-	w := &latWindow{}
-	for i := 0; i < latWindowSize+100; i++ {
-		w.add(float64(i))
-	}
-	if len(w.samples()) != latWindowSize {
-		t.Fatalf("window holds %d samples, want %d", len(w.samples()), latWindowSize)
-	}
-	// The oldest 100 samples were overwritten in place.
-	if w.buf[0] != float64(latWindowSize) {
-		t.Errorf("ring slot 0 = %v, want %v", w.buf[0], float64(latWindowSize))
 	}
 }
 

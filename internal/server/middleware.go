@@ -133,6 +133,10 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, so the
+// NDJSON streams can set the connection's write deadline through it.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // requestIDHeader is the header archlined reads a caller-supplied
 // request ID from and echoes the effective ID back on.
 const requestIDHeader = "X-Request-Id"

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"compress/gzip"
+	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"archline/internal/model"
 )
@@ -124,4 +128,61 @@ func appendStreamChunk(dst []byte, seq int, pts []model.Point) ([]byte, bool) {
 		}
 	}
 	return append(dst, ']', '}', '\n'), true
+}
+
+// streamWriteGrace is how long past the request deadline an NDJSON
+// stream may keep writing: enough for a reading client to receive the
+// chunk in flight and the deadline_exceeded trailer, short enough that
+// a stalled reader gives back its handler soon after the deadline.
+const streamWriteGrace = 500 * time.Millisecond
+
+// startNDJSON begins the 200 response of an NDJSON stream (the sweep
+// stream and job events): it sets the headers, gzips the body when the
+// client negotiated it, and bounds every write by the request deadline
+// plus streamWriteGrace. A context deadline cannot unblock a TCP write,
+// so without the connection's write deadline a client that stops
+// reading would pin the handler, and its in-flight slot, for as long as
+// it liked. It returns
+// the body writer, a flush that pushes each NDJSON line through the
+// gzip frame and the HTTP chunked writer to the client, and a finish the
+// caller must defer: it closes the gzip frame, flushes it under the
+// deadline, and clears the deadline so it cannot outlive the request
+// on a keep-alive connection (older net/http releases do not reset it
+// between requests).
+func startNDJSON(w http.ResponseWriter, r *http.Request) (out io.Writer, flush, finish func()) {
+	rc := http.NewResponseController(w)
+	// The error is ErrNotSupported from writers with no connection (the
+	// in-process recorders), which have no socket to stall on.
+	if deadline, ok := r.Context().Deadline(); ok {
+		_ = rc.SetWriteDeadline(deadline.Add(streamWriteGrace))
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	out = w
+	var gz *gzip.Writer
+	if acceptsGzip(r) {
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Header().Add("Vary", "Accept-Encoding")
+		gz = gzipWriters.Get().(*gzip.Writer)
+		gz.Reset(w)
+		out = gz
+	}
+	w.WriteHeader(http.StatusOK)
+	// Flush failures mean the client went away or stalled past the
+	// deadline; the handlers' context checks and trailers take it from
+	// there.
+	flush = func() {
+		if gz != nil {
+			_ = gz.Flush()
+		}
+		_ = rc.Flush()
+	}
+	finish = func() {
+		if gz != nil {
+			_ = gz.Close()
+			gzipWriters.Put(gz)
+		}
+		_ = rc.Flush()
+		_ = rc.SetWriteDeadline(time.Time{})
+	}
+	return out, flush, finish
 }

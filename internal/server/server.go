@@ -18,7 +18,7 @@
 //	GET  /v1/jobs/{id}/events               follow job progress as NDJSON
 //	DELETE /v1/jobs/{id}                    cancel a queued or running job
 //	GET  /healthz                           liveness
-//	GET  /metrics                           counters, latency quantiles, cache stats
+//	GET  /metrics                           counters, latency histograms, cache stats
 //
 // Every buffered /v1 response is a pure function of the request, so the
 // server keeps one LRU cache keyed on the canonicalized request; the N

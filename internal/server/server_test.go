@@ -415,7 +415,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`archlined_requests_total{endpoint="/v1/platforms",status="200"} 2`,
 		`archlined_requests_total{endpoint="/healthz",status="200"} 1`,
-		`archlined_request_latency_seconds{endpoint="/v1/platforms",quantile="0.5"}`,
+		`archlined_request_duration_seconds_count{endpoint="/v1/platforms"} 2`,
 		"archlined_cache_hits_total 1",
 		"archlined_cache_misses_total 1",
 		"archlined_model_evals_total 1",

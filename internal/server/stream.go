@@ -1,9 +1,7 @@
 package server
 
 import (
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 
@@ -106,32 +104,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 	}
 
 	s.noteEval()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var out io.Writer = w
-	var gz *gzip.Writer
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Add("Vary", "Accept-Encoding")
-		gz = gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(w)
-		defer func() {
-			_ = gz.Close()
-			gzipWriters.Put(gz)
-		}()
-		out = gz
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	// flush pushes one NDJSON line's bytes all the way to the client:
-	// through the gzip frame first, then the HTTP chunked writer.
-	flush := func() {
-		if gz != nil {
-			_ = gz.Flush()
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-	}
+	out, flush, finish := startNDJSON(w, r)
+	defer finish()
 	enc := json.NewEncoder(out)
 	// Encode failures past this point mean the client went away; the
 	// trailer protocol below is the only error channel left.

@@ -14,10 +14,11 @@ import (
 	"archline/internal/units"
 )
 
-// legacyStreamBody reproduces the pre-kernel stream encoding: the
-// Params methods evaluated per point, every line marshaled through
+// legacyStreamBody reproduces the original stream encoding: the typed
+// Params front end evaluated per point, every line marshaled through
 // encoding/json. It is the reference the golden test holds the
-// hand-rolled kernel path to, byte for byte.
+// hand-rolled chunk path to, byte for byte, pinning the NDJSON encoder
+// and the mapping from wire fields to model metrics.
 func legacyStreamBody(platID, name, precision string, p model.Params, g sweepGrid, chunk int) []byte {
 	var out bytes.Buffer
 	enc := json.NewEncoder(&out)

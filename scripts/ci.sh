@@ -21,6 +21,12 @@ go vet ./...
 echo "ci: go test -race"
 go test -race ./...
 
+echo "ci: fuzz kernel vs reference formulas"
+# Differential fuzzing beyond the Table I seeds that go test replays:
+# the sweep kernel must match the reference equations bit for bit on
+# any machine Params.Validate accepts.
+go test -run '^$' -fuzz '^FuzzKernelMatchesReference$' -fuzztime 15s ./internal/model
+
 echo "ci: perfbench unit tests"
 # The benchmark driver is its own module built against this one's
 # server and registry packages; -short skips its slow smoke run.

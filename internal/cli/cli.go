@@ -188,8 +188,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 			"directory for the persistent platform registry; empty runs it in memory (uploads rejected)")
 		regShards = fs.Int("registry-shards", 0,
 			"consistent-hash shard count for the platform registry (0 = default 8)")
-		aggFlush = fs.Duration("agg-flush", server.DefaultAggFlushInterval,
-			"metric aggregation drain cadence (staleness bound for /metrics)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return ExitUsage
@@ -207,23 +205,22 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := serveContext()
 	defer cancel()
 	cfg := server.Config{
-		Addr:             *addr,
-		MaxBodyBytes:     *maxBody,
-		RequestTimeout:   *timeout,
-		CacheEntries:     *entries,
-		DrainTimeout:     *drain,
-		MaxInFlight:      *maxInflight,
-		BatchWorkers:     *batchWorkers,
-		ChaosProfile:     *chaosProf,
-		ChaosSeed:        *chaosSeed,
-		LogWriter:        stderr,
-		EnablePprof:      *pprofOn,
-		JobWorkers:       *jobWorkers,
-		JobQueueDepth:    *jobQueue,
-		JobTTL:           *jobTTL,
-		DataDir:          *dataDir,
-		RegistryShards:   *regShards,
-		AggFlushInterval: *aggFlush,
+		Addr:           *addr,
+		MaxBodyBytes:   *maxBody,
+		RequestTimeout: *timeout,
+		CacheEntries:   *entries,
+		DrainTimeout:   *drain,
+		MaxInFlight:    *maxInflight,
+		BatchWorkers:   *batchWorkers,
+		ChaosProfile:   *chaosProf,
+		ChaosSeed:      *chaosSeed,
+		LogWriter:      stderr,
+		EnablePprof:    *pprofOn,
+		JobWorkers:     *jobWorkers,
+		JobQueueDepth:  *jobQueue,
+		JobTTL:         *jobTTL,
+		DataDir:        *dataDir,
+		RegistryShards: *regShards,
 	}
 	var tf *os.File
 	if *traceLog != "" {

@@ -90,10 +90,9 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestAggContractEndToEnd drives load, flushes the aggregation stage
-// the way the daemon's interval flusher would, and checks the /metrics
-// health contract the CI gate enforces.
-func TestAggContractEndToEnd(t *testing.T) {
+// TestMetricsContractEndToEnd drives load and checks the /metrics
+// accounting contract the CI gate enforces.
+func TestMetricsContractEndToEnd(t *testing.T) {
 	s, base := newTestDaemon(t)
 	rep, err := Run(context.Background(), Config{
 		BaseURL:     base,
@@ -107,10 +106,9 @@ func TestAggContractEndToEnd(t *testing.T) {
 	if rep.OK == 0 {
 		t.Fatalf("no successes: %+v", rep)
 	}
-	s.Metrics().FlushAgg()
 	exp := s.Metrics().Render()
-	if v := (Budget{}).CheckAgg(exp); len(v) != 0 {
-		t.Errorf("agg contract violated after load: %v", v)
+	if v := (Budget{}).CheckMetrics(exp); len(v) != 0 {
+		t.Errorf("metrics contract violated after load: %v", v)
 	}
 	if !strings.Contains(exp, `archlined_platform_queries_total{platform="`) {
 		t.Error("per-platform counters did not materialize")
@@ -186,24 +184,30 @@ func TestBudgetCheck(t *testing.T) {
 	}
 }
 
-// TestCheckAggParsing checks the exposition health probe against
-// crafted text.
-func TestCheckAggParsing(t *testing.T) {
+// TestCheckMetricsParsing checks the exposition accounting probe
+// against crafted text, including a histogram that is missing a
+// request.
+func TestCheckMetricsParsing(t *testing.T) {
 	healthy := strings.Join([]string{
 		`archlined_platform_queries_total{platform="gtx-titan"} 5`,
-		`archlined_agg_flushes_total 3`,
-		`archlined_agg_flush_age_seconds 0.5`,
+		`archlined_request_duration_seconds_bucket{endpoint="/v1/query",le="+Inf"} 4`,
+		`archlined_request_duration_seconds_count{endpoint="/v1/query"} 4`,
+		`archlined_request_duration_seconds_count{endpoint="/healthz"} 1`,
+		`archlined_requests_total{endpoint="/v1/query",status="200"} 3`,
+		`archlined_requests_total{endpoint="/v1/query",status="404"} 1`,
+		`archlined_requests_total{endpoint="/healthz",status="200"} 1`,
 	}, "\n")
-	if v := (Budget{}).CheckAgg(healthy); len(v) != 0 {
+	if v := (Budget{}).CheckMetrics(healthy); len(v) != 0 {
 		t.Errorf("healthy exposition flagged: %v", v)
 	}
-	stale := strings.ReplaceAll(healthy,
-		"archlined_agg_flush_age_seconds 0.5", "archlined_agg_flush_age_seconds 60")
-	if v := (Budget{MaxFlushAgeS: 2}).CheckAgg(stale); len(v) != 1 {
-		t.Errorf("stale flush not caught: %v", v)
+	lost := strings.ReplaceAll(healthy,
+		`archlined_request_duration_seconds_count{endpoint="/v1/query"} 4`,
+		`archlined_request_duration_seconds_count{endpoint="/v1/query"} 3`)
+	if v := (Budget{}).CheckMetrics(lost); len(v) != 1 {
+		t.Errorf("histogram missing a request not caught: %v", v)
 	}
-	if v := (Budget{}).CheckAgg("nothing here"); len(v) != 3 {
-		t.Errorf("empty exposition should trip all three checks: %v", v)
+	if v := (Budget{}).CheckMetrics("nothing here"); len(v) != 3 {
+		t.Errorf("empty exposition should trip all three presence checks: %v", v)
 	}
 }
 

@@ -146,18 +146,14 @@ func (r Report) Render(w io.Writer) {
 }
 
 // Budget is a committed latency/throughput budget; see
-// scripts/load_budget.json. Zero MaxP99Ms, MinRPS, or MaxFlushAgeS
-// means that check is skipped; the error ceilings are always enforced
-// at their stated value (zero = none allowed).
+// scripts/load_budget.json. Zero MaxP99Ms or MinRPS means that check
+// is skipped; the error ceilings are always enforced at their stated
+// value (zero = none allowed).
 type Budget struct {
 	MaxP99Ms           float64 `json:"max_p99_ms"`
 	MinRPS             float64 `json:"min_rps"`
 	MaxServerErrors    int64   `json:"max_server_errors"`
 	MaxTransportErrors int64   `json:"max_transport_errors"`
-	// MaxFlushAgeS bounds archlined_agg_flush_age_seconds in CheckAgg:
-	// a daemon whose aggregation flusher lags its interval is failing
-	// even if latency looks fine.
-	MaxFlushAgeS float64 `json:"max_flush_age_s"`
 }
 
 // Check returns the budget violations (empty means within budget).
@@ -181,50 +177,49 @@ func (b Budget) Check(r Report) []string {
 	return out
 }
 
-// CheckAgg inspects a /metrics exposition after a load run and returns
-// violations of the aggregation pipeline's health contract: per-platform
-// counters must have materialized, at least one interval flush must have
-// happened, and the last flush must be recent (MaxFlushAgeS; 5s when
-// zero).
-func (b Budget) CheckAgg(exposition string) []string {
-	maxAge := b.MaxFlushAgeS
-	if maxAge <= 0 {
-		maxAge = 5
-	}
+// CheckMetrics inspects a /metrics exposition after a load run and
+// returns violations of the daemon's accounting contract: per-platform
+// counters must have materialized, and every finished request must have
+// reached the latency histogram exactly once (the histogram's _count
+// summed over endpoints equals archlined_requests_total summed over
+// endpoints and statuses).
+func (b Budget) CheckMetrics(exposition string) []string {
 	var out []string
 	if !strings.Contains(exposition, `archlined_platform_queries_total{platform="`) {
 		out = append(out, "no archlined_platform_queries_total series in /metrics")
 	}
-	flushes, ok := expositionValue(exposition, "archlined_agg_flushes_total")
-	switch {
-	case !ok:
-		out = append(out, "archlined_agg_flushes_total missing from /metrics")
-	case flushes < 1:
-		out = append(out, "no interval flushes recorded (is the flusher running?)")
+	requests, ok := expositionSum(exposition, "archlined_requests_total")
+	if !ok {
+		out = append(out, "archlined_requests_total missing from /metrics")
 	}
-	age, ok := expositionValue(exposition, "archlined_agg_flush_age_seconds")
-	switch {
-	case !ok:
-		out = append(out, "archlined_agg_flush_age_seconds missing from /metrics")
-	case age > maxAge:
-		out = append(out, fmt.Sprintf("flush age %.1fs exceeds %.1fs: the flusher lags its interval", age, maxAge))
+	observed, ok := expositionSum(exposition, "archlined_request_duration_seconds_count")
+	if !ok {
+		out = append(out, "archlined_request_duration_seconds_count missing from /metrics")
+	}
+	if observed != requests {
+		out = append(out, fmt.Sprintf("latency histogram holds %d samples for %d requests: the accounting lost samples",
+			observed, requests))
 	}
 	return out
 }
 
-// expositionValue finds an unlabelled series' value in a text
-// exposition.
-func expositionValue(exposition, name string) (float64, bool) {
+// expositionSum totals every series of one metric name in a text
+// exposition, labelled or not. Counts are whole numbers, so the sum is
+// exact as an int64.
+func expositionSum(exposition, name string) (int64, bool) {
+	var sum int64
+	found := false
 	for _, line := range strings.Split(exposition, "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
 		if err != nil {
 			return 0, false
 		}
-		return v, true
+		sum += int64(v)
+		found = true
 	}
-	return 0, false
+	return sum, found
 }

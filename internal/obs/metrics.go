@@ -11,8 +11,8 @@ import (
 // Metrics registry: a generalized, stdlib-only family of counters,
 // gauges, and histograms rendered as a Prometheus-style text exposition
 // with # HELP / # TYPE headers. Families registered with Collect are
-// computed at render time, for derived values (uptime, quantiles over a
-// sample window, breaker state) that have no natural write path.
+// computed at render time, for derived values (uptime, cache hit ratio,
+// breaker state) that have no natural write path.
 //
 // Rendering is deterministic: families sort by name, series by label
 // values, and whole-number values print without a fractional part — so
@@ -172,7 +172,18 @@ func (r *Registry) Collect(name, help, typ string, labels []string,
 }
 
 // seriesKey joins label values into a sortable map key.
-func seriesKey(values []string) string { return strings.Join(values, "\xff") }
+func seriesKey(values []string) string { return string(appendSeriesKey(nil, values)) }
+
+// appendSeriesKey appends the seriesKey bytes for values to dst.
+func appendSeriesKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, '\xff')
+		}
+		dst = append(dst, v...)
+	}
+	return dst
+}
 
 // with returns (creating if needed) the series for the label values.
 func (f *family) with(values []string) *series {
@@ -180,10 +191,14 @@ func (f *family) with(values []string) *series {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := seriesKey(values)
+	// The key is built in a stack buffer and looked up without
+	// conversion, so resolving an existing series allocates nothing; the
+	// map copies the key only when it inserts a new series.
+	var buf [128]byte
+	key := appendSeriesKey(buf[:0], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		if f.maxSeries > 0 && len(f.series) >= f.maxSeries {
 			// Cardinality cap: spill to the blackhole series and count
@@ -202,7 +217,7 @@ func (f *family) with(values []string) *series {
 		if f.typ == "histogram" {
 			s.counts = make([]uint64, len(f.buckets))
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

@@ -160,6 +160,27 @@ func TestSeriesCapUnbreachedIsInvisible(t *testing.T) {
 	}
 }
 
+// TestSeriesLookupAllocFree checks resolving an already-interned
+// two-label series allocates nothing, so a per-request counter or
+// histogram write stays allocation-free.
+func TestSeriesLookupAllocFree(t *testing.T) {
+	reg := NewRegistry()
+	reqs := reg.Counter("requests_total", "finished requests", "endpoint", "status")
+	lat := reg.Histogram("duration_seconds", "latency", DefBuckets, "endpoint")
+	reqs.With("/v1/query", "200").Inc()
+	lat.With("/v1/query").Observe(0.001)
+	allocs := testing.AllocsPerRun(1000, func() {
+		reqs.With("/v1/query", "200").Inc()
+		lat.With("/v1/query").Observe(0.001)
+	})
+	if allocs != 0 {
+		t.Errorf("resolving an existing series allocates %v times, want 0", allocs)
+	}
+	if got := reqs.Sum(); got != 1002 {
+		t.Errorf("counter sum = %v, want 1002", got)
+	}
+}
+
 func TestFormatValue(t *testing.T) {
 	cases := map[float64]string{
 		0:      "0",

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"archline/internal/obs"
 )
 
 // -update rewrites the exposition golden from current output.
@@ -100,9 +102,9 @@ func TestMetricsConcurrentRender(t *testing.T) {
 }
 
 // TestLatencyPathsAgree pins the single latency pipeline: each
-// noteRequest call reaches the duration histogram exactly once through
-// the aggregation sink, so every endpoint's histogram count equals its
-// request count.
+// noteRequest call reaches the duration histogram exactly once, so every
+// endpoint's histogram count equals its request count, however many
+// requests land between two scrapes.
 func TestLatencyPathsAgree(t *testing.T) {
 	m := fixedMetrics()
 	m.noteRequest("/v1/query", 200, 10*time.Millisecond)
@@ -121,12 +123,25 @@ func TestLatencyPathsAgree(t *testing.T) {
 			t.Errorf("exposition missing %q", histo)
 		}
 	}
+
+	// 5000 requests between two scrapes: no sample may be lost.
+	m = fixedMetrics()
+	for i := 0; i < 5000; i++ {
+		m.noteRequest("/v1/query", 200, time.Millisecond)
+	}
+	exp = m.Render()
+	for _, want := range []string{
+		`archlined_requests_total{endpoint="/v1/query",status="200"} 5000`,
+		`archlined_request_duration_seconds_count{endpoint="/v1/query"} 5000`,
+	} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
 }
 
-// TestPlatformQueryAggregation checks the per-platform counters and the
-// distinct-platform set flow through the aggregation stage into the
-// exposition, and that the set resets per interval while the counters
-// accumulate.
+// TestPlatformQueryAggregation checks the per-platform counters reach
+// the exposition and accumulate across scrapes.
 func TestPlatformQueryAggregation(t *testing.T) {
 	m := fixedMetrics()
 	m.notePlatformQuery("gtx-titan")
@@ -136,68 +151,33 @@ func TestPlatformQueryAggregation(t *testing.T) {
 	for _, want := range []string{
 		`archlined_platform_queries_total{platform="gtx-titan"} 2`,
 		`archlined_platform_queries_total{platform="i7-3615qm"} 1`,
-		`archlined_distinct_platforms_queried 2`,
-		`archlined_agg_series{family="platform_queries"} 2`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, exp)
 		}
 	}
 
-	// Next interval: one platform queried again. The counter accumulates
-	// across flushes; the distinct gauge reflects only the new interval.
 	m.notePlatformQuery("gtx-titan")
 	exp = m.Render()
-	for _, want := range []string{
-		`archlined_platform_queries_total{platform="gtx-titan"} 3`,
-		`archlined_distinct_platforms_queried 1`,
-	} {
-		if !strings.Contains(exp, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, exp)
-		}
-	}
-}
-
-// TestAggFlushAccounting checks only interval flushes (FlushAgg) count
-// toward archlined_agg_flushes_total and the flush age appears only
-// after the first one — render-time drains keep the exposition fresh
-// without masking a dead flusher.
-func TestAggFlushAccounting(t *testing.T) {
-	m := fixedMetrics()
-	m.noteRequest("/v1/query", 200, time.Millisecond)
-	exp := m.Render()
-	if !strings.Contains(exp, "archlined_agg_flushes_total 0") {
-		t.Error("render-time drain must not count as an interval flush")
-	}
-	if strings.Contains(exp, "archlined_agg_flush_age_seconds") {
-		t.Error("flush age rendered before any interval flush")
-	}
-
-	m.FlushAgg()
-	exp = m.Render()
-	if !strings.Contains(exp, "archlined_agg_flushes_total 1") {
-		t.Error("interval flush was not counted")
-	}
-	// The fixed clock pins every read after construction to t0+90s, so
-	// the age of a flush taken "now" renders as exactly zero.
-	if !strings.Contains(exp, "archlined_agg_flush_age_seconds 0") {
-		t.Errorf("flush age missing after an interval flush:\n%s", exp)
+	if want := `archlined_platform_queries_total{platform="gtx-titan"} 3`; !strings.Contains(exp, want) {
+		t.Errorf("exposition missing %q in:\n%s", want, exp)
 	}
 }
 
 // TestPlatformQueryCardinalityCap floods notePlatformQuery past the
-// aggregation family's cap and checks the overflow is dropped and
-// counted rather than stored.
+// registry's per-family series cap and checks the overflow is dropped
+// and counted rather than stored.
 func TestPlatformQueryCardinalityCap(t *testing.T) {
 	m := fixedMetrics()
-	for i := 0; i < 300; i++ {
+	for i := 0; i < obs.DefaultMaxSeriesPerFamily+44; i++ {
 		m.notePlatformQuery("plat-" + strconv.Itoa(i))
 	}
 	exp := m.Render()
-	if !strings.Contains(exp, `archlined_agg_series{family="platform_queries"} 256`) {
-		t.Error("platform_queries family grew past its 256-series cap")
+	if n := strings.Count(exp, "\narchlined_platform_queries_total{"); n != obs.DefaultMaxSeriesPerFamily {
+		t.Errorf("platform_queries family has %d series, want the %d-series cap",
+			n, obs.DefaultMaxSeriesPerFamily)
 	}
-	if !strings.Contains(exp, `archlined_agg_dropped_series_total{family="platform_queries"} 44`) {
+	if !strings.Contains(exp, `obs_dropped_series_total{family="archlined_platform_queries_total"} 44`) {
 		t.Errorf("44 over-cap recordings were not counted dropped:\n%s", exp)
 	}
 }

@@ -110,11 +110,6 @@ type Config struct {
 	// RegistryShards is how many consistent-hash shards the registry
 	// index splits into. Zero takes registry.DefaultShards.
 	RegistryShards int
-	// AggFlushInterval is how often the metric aggregation stage drains
-	// into the exposition registry (the archlined -agg-flush flag). Zero
-	// means DefaultAggFlushInterval; /metrics scrapes additionally drain
-	// on demand, so this bounds staleness, not visibility.
-	AggFlushInterval time.Duration
 }
 
 // Defaults for zero Config fields.
@@ -124,11 +119,6 @@ const (
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultCacheEntries   = 512
 	DefaultDrainTimeout   = 5 * time.Second
-	// DefaultAggFlushInterval is the metric aggregation drain cadence: one
-	// second keeps worst-case exposition staleness inside a scrape
-	// interval while amortizing the registry-lock cost over every request
-	// that landed in between.
-	DefaultAggFlushInterval = time.Second
 )
 
 // withDefaults fills zero fields.
@@ -150,9 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = DefaultMaxInFlight
-	}
-	if c.AggFlushInterval <= 0 {
-		c.AggFlushInterval = DefaultAggFlushInterval
 	}
 	return c
 }
@@ -356,13 +343,6 @@ func (s *Server) Run(ctx context.Context, stdout, stderr io.Writer) error {
 	s.log.LogAttrs(ctx, slog.LevelInfo, "listening",
 		slog.String("addr", ln.Addr().String()),
 		slog.Bool("chaos", s.chaos != nil), slog.Bool("pprof", s.cfg.EnablePprof))
-	// The interval flusher drains the metric aggregation stage for the
-	// daemon's whole lifetime; it stops (with one final drain) once the
-	// serve loop is done, so nothing recorded during the drain is lost.
-	flushDone := make(chan struct{})
-	flushStop := make(chan struct{})
-	go s.runFlusher(flushStop, flushDone)
-	defer func() { close(flushStop); <-flushDone }()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -398,24 +378,6 @@ func (s *Server) Run(ctx context.Context, stdout, stderr io.Writer) error {
 	_, _ = fmt.Fprintln(stderr, "archlined: drained, bye")
 	s.log.LogAttrs(dctx, slog.LevelInfo, "drained")
 	return nil
-}
-
-// runFlusher drains the metric aggregation stage every
-// cfg.AggFlushInterval until stop closes, then performs one final
-// counted drain before signalling done.
-func (s *Server) runFlusher(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(s.cfg.AggFlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			s.metrics.FlushAgg()
-			return
-		case <-t.C:
-			s.metrics.FlushAgg()
-		}
-	}
 }
 
 // Run builds a server from cfg and runs it until ctx is cancelled; see

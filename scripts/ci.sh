@@ -121,13 +121,13 @@ go run ./scripts/smoke -base "$daemon_base"
 echo "ci: archloadgen load smoke"
 # A short deterministic load pass against the same daemon, gated on the
 # committed budget: nonzero throughput, no unexpected 5xx or transport
-# errors, and (-check-agg) the aggregation pipeline's health contract —
-# per-platform query counters materialized in /metrics and the interval
-# flusher alive and recent. Runs after the smoke probe because smoke
+# errors, and (-check-metrics) the metrics accounting contract —
+# per-platform query counters materialized in /metrics and the latency
+# histogram holding one sample per counted request. Runs after the smoke probe because smoke
 # pins exact counter values that load traffic would shift.
 go build -o "$tmpdir/archloadgen" ./cmd/archloadgen
 "$tmpdir/archloadgen" -base "$daemon_base" -duration 2s -seed 42 -json \
-    -budget scripts/load_budget.json -check-agg >"$tmpdir/loadgen.json"
+    -budget scripts/load_budget.json -check-metrics >"$tmpdir/loadgen.json"
 grep -q '"requests"' "$tmpdir/loadgen.json" || {
     echo "ci: archloadgen emitted no JSON report" >&2
     exit 1

@@ -4,9 +4,9 @@
 # Boots archlined on an ephemeral port, drives a deterministic
 # archloadgen pass at it, and enforces the committed budget
 # (scripts/load_budget.json): p99 latency, minimum throughput, zero
-# unexpected 5xx/transport errors, and the aggregation pipeline's
-# health contract (-check-agg: per-platform counters materialized, the
-# interval flusher alive and recent). A latency regression fails this
+# unexpected 5xx/transport errors, and the metrics accounting contract
+# (-check-metrics: per-platform counters materialized, and the latency
+# histogram holding one sample per counted request). A latency regression fails this
 # script the same way a broken test fails the suite.
 #
 # Knobs (environment):
@@ -50,7 +50,7 @@ fi
 echo "loadgate: driving load at $base for $duration (seed $seed, budget $budget)"
 gate_status=0
 "$tmpdir/archloadgen" -base "$base" -duration "$duration" -seed "$seed" \
-    -budget "$budget" -check-agg || gate_status=$?
+    -budget "$budget" -check-metrics || gate_status=$?
 
 # Drain the daemon cleanly regardless of the gate verdict; a daemon
 # that cannot drain after load is its own failure.

@@ -46,8 +46,9 @@ bench:
 	./scripts/bench.sh
 
 ## benchgate runs a fresh quick bench pass and enforces the committed
-## perf budget: allocs/op ceilings plus a parallel-speedup floor that
-## arms only on hosts with >= 4 CPUs (scripts/bench_budget.json).
+## perf budget: allocs/op ceilings, ns/op ratio ceilings, and a
+## parallel-speedup floor that arms only on hosts with >= 4 CPUs
+## (scripts/bench_budget.json).
 benchgate:
 	./scripts/benchgate.sh
 

@@ -14,8 +14,10 @@ import (
 // saving. Error envelopes and small query responses go out raw.
 const gzipMinBytes = 1024
 
-// gzipWriters recycles compressors across requests; a gzip.Writer's
-// allocation dwarfs a small response body.
+// gzipWriters recycles the buffered responses' compressors, at the
+// default level, across requests; a gzip.Writer's allocation dwarfs a
+// small response body. NDJSON streams have their own pool
+// (streamGzipWriters).
 var gzipWriters = sync.Pool{
 	New: func() any { return gzip.NewWriter(io.Discard) },
 }

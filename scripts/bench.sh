@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2x}
 count=${BENCHCOUNT:-1}
-pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkResultFilters|BenchmarkBatchVsSequential|BenchmarkQueryInProc|BenchmarkSweepStream|BenchmarkMapDispatch)$'
+pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkResultFilters|BenchmarkBatchVsSequential|BenchmarkQueryInProc|BenchmarkSweepStream|BenchmarkAppendStreamChunk|BenchmarkMapDispatch)$'
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp" "$tmp.prev"' EXIT

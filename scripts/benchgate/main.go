@@ -1,9 +1,10 @@
 // benchgate enforces the committed performance budget against a
-// benchjson snapshot: per-benchmark allocs/op ceilings, plus a
-// parallel-speedup floor that arms itself only on hosts with enough
-// cores to make the comparison meaningful. It is the teeth behind the
-// bench trajectory — scripts/bench.sh records where the numbers are,
-// benchgate fails the build when they regress past the budget.
+// benchjson snapshot: per-benchmark allocs/op ceilings, ceilings on the
+// ns/op ratio of two benchmarks, plus a parallel-speedup floor that
+// arms itself only on hosts with enough cores to make the comparison
+// meaningful. It is the teeth behind the bench trajectory —
+// scripts/bench.sh records where the numbers are, benchgate fails the
+// build when they regress past the budget.
 //
 // Usage:
 //
@@ -17,6 +18,12 @@
 //     covers the NumCPU-stamped "BenchmarkSuiteRun/workers=max(8)".
 //     Every ceiling must find at least one record: a gate that cannot
 //     see its benchmark must fail, not silently pass.
+//   - ratio_ceilings: list of {num, den, max}, requiring
+//     ns/op(num) / ns/op(den) <= max, with keys matched as above and
+//     each side's median taken over its records (go test -count). A
+//     ratio of two benchmarks run on one host cancels the host's speed,
+//     so unlike a raw ns/op ceiling it holds across machines. Either
+//     side missing fails, as a missing allocs ceiling does.
 //   - speedup_floor: requires ns/op(base) / ns/op(wide) >= min_ratio,
 //     but only when the snapshot's host ran min_num_cpu or more CPUs;
 //     below that the floor stays dormant (a 1-CPU box cannot speed up).
@@ -27,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -53,9 +61,17 @@ type speedupFloor struct {
 	MinRatio  float64 `json:"min_ratio"`
 }
 
+// ratioCeiling bounds ns/op(Num) / ns/op(Den) from above.
+type ratioCeiling struct {
+	Num string  `json:"num"`
+	Den string  `json:"den"`
+	Max float64 `json:"max"`
+}
+
 // budget is the committed regression budget.
 type budget struct {
 	AllocsCeilings map[string]float64 `json:"allocs_ceilings"`
+	RatioCeilings  []ratioCeiling     `json:"ratio_ceilings"`
 	SpeedupFloor   *speedupFloor      `json:"speedup_floor"`
 }
 
@@ -80,6 +96,24 @@ func findAll(doc *benchDoc, key string) []benchRecord {
 	return out
 }
 
+// medianNs is the median ns/op over recs, or 0 when any record lacks
+// the metric.
+func medianNs(recs []benchRecord) float64 {
+	ns := make([]float64, 0, len(recs))
+	for _, rec := range recs {
+		v, ok := rec.Metrics["ns/op"]
+		if !ok {
+			return 0
+		}
+		ns = append(ns, v)
+	}
+	slices.Sort(ns)
+	if n := len(ns); n%2 == 0 {
+		return (ns[n/2-1] + ns[n/2]) / 2
+	}
+	return ns[len(ns)/2]
+}
+
 func loadJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -101,78 +135,100 @@ func run(benchPath, budgetPath string) error {
 		return err
 	}
 
-	failures := 0
+	passes, violations := gate(&doc, &bud, benchPath)
+	for _, line := range passes {
+		fmt.Println("benchgate: " + line)
+	}
+	for _, line := range violations {
+		fmt.Fprintln(os.Stderr, "benchgate: "+line)
+	}
+	if len(violations) > 0 {
+		return fmt.Errorf("%d budget violation(s)", len(violations))
+	}
+	return nil
+}
+
+// gate checks doc, read from benchPath, against bud and returns one
+// report line per check: the passes and the violations.
+func gate(doc *benchDoc, bud *budget, benchPath string) (passes, violations []string) {
+	pass := func(format string, args ...any) { passes = append(passes, fmt.Sprintf(format, args...)) }
+	fail := func(format string, args ...any) { violations = append(violations, fmt.Sprintf(format, args...)) }
 	// Ceilings sort by key for stable output; a map range would shuffle
 	// the report between runs.
 	keys := make([]string, 0, len(bud.AllocsCeilings))
 	for k := range bud.AllocsCeilings {
 		keys = append(keys, k)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	slices.Sort(keys)
 	for _, key := range keys {
 		ceiling := bud.AllocsCeilings[key]
-		recs := findAll(&doc, key)
+		recs := findAll(doc, key)
 		if len(recs) == 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: no such benchmark in %s\n", key, benchPath)
-			failures++
+			fail("FAIL %s: no such benchmark in %s", key, benchPath)
 			continue
 		}
 		for _, rec := range recs {
 			got, ok := rec.Metrics["allocs/op"]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: no allocs/op metric (run with -benchmem)\n", rec.Name)
-				failures++
+				fail("FAIL %s: no allocs/op metric (run with -benchmem)", rec.Name)
 				continue
 			}
 			if got > ceiling {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: %.0f allocs/op exceeds ceiling %.0f\n",
+				fail("FAIL %s: %.0f allocs/op exceeds ceiling %.0f",
 					rec.Name, got, ceiling)
-				failures++
 				continue
 			}
-			fmt.Printf("benchgate: ok %s: %.0f allocs/op <= %.0f\n", rec.Name, got, ceiling)
+			pass("ok %s: %.0f allocs/op <= %.0f", rec.Name, got, ceiling)
+		}
+	}
+
+	for _, rc := range bud.RatioCeilings {
+		num, den := findAll(doc, rc.Num), findAll(doc, rc.Den)
+		if len(num) == 0 || len(den) == 0 {
+			fail("FAIL ratio %s / %s: %q or %q missing from %s",
+				rc.Num, rc.Den, rc.Num, rc.Den, benchPath)
+			continue
+		}
+		n, d := medianNs(num), medianNs(den)
+		if !(n > 0) || !(d > 0) {
+			fail("FAIL ratio %s / %s: ns/op %g / %g", rc.Num, rc.Den, n, d)
+			continue
+		}
+		if ratio := n / d; ratio > rc.Max {
+			fail("FAIL ratio %s / %s = %.2f exceeds ceiling %.2f",
+				rc.Num, rc.Den, ratio, rc.Max)
+		} else {
+			pass("ok ratio %s / %s = %.2f <= %.2f", rc.Num, rc.Den, ratio, rc.Max)
 		}
 	}
 
 	if sf := bud.SpeedupFloor; sf != nil {
 		if doc.Host.NumCPU < sf.MinNumCPU {
-			fmt.Printf("benchgate: speedup floor dormant (host has %d CPUs, floor arms at %d)\n",
+			pass("speedup floor dormant (host has %d CPUs, floor arms at %d)",
 				doc.Host.NumCPU, sf.MinNumCPU)
 		} else {
-			base, wide := findAll(&doc, sf.Base), findAll(&doc, sf.Wide)
+			base, wide := findAll(doc, sf.Base), findAll(doc, sf.Wide)
 			switch {
 			case len(base) == 0 || len(wide) == 0:
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup floor: %q or %q missing from %s\n",
+				fail("FAIL speedup floor: %q or %q missing from %s",
 					sf.Base, sf.Wide, benchPath)
-				failures++
 			default:
 				bNs, wNs := base[0].Metrics["ns/op"], wide[0].Metrics["ns/op"]
 				if wNs <= 0 {
-					fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup floor: %s reports ns/op %g\n",
+					fail("FAIL speedup floor: %s reports ns/op %g",
 						sf.Wide, wNs)
-					failures++
 				} else if ratio := bNs / wNs; ratio < sf.MinRatio {
-					fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup floor: %s/%s = %.2fx, floor %.2fx\n",
+					fail("FAIL speedup floor: %s/%s = %.2fx, floor %.2fx",
 						sf.Base, sf.Wide, ratio, sf.MinRatio)
-					failures++
 				} else {
-					fmt.Printf("benchgate: ok speedup %s vs %s: %.2fx >= %.2fx\n",
+					pass("ok speedup %s vs %s: %.2fx >= %.2fx",
 						sf.Base, sf.Wide, ratio, sf.MinRatio)
 				}
 			}
 		}
 	}
 
-	if failures > 0 {
-		return fmt.Errorf("%d budget violation(s)", failures)
-	}
-	return nil
+	return passes, violations
 }
 
 func main() {

@@ -27,6 +27,12 @@ echo "ci: fuzz kernel vs reference formulas"
 # any machine Params.Validate accepts.
 go test -run '^$' -fuzz '^FuzzKernelMatchesReference$' -fuzztime 15s ./internal/model
 
+echo "ci: fuzz stream chunk encoder vs encoding/json"
+# The hand-rolled NDJSON chunk encoder must match encoding/json byte for
+# byte on arbitrary float64 bit patterns, dropping the line exactly when
+# encoding/json refuses a non-finite value.
+go test -run '^$' -fuzz '^FuzzAppendStreamChunk$' -fuzztime 10s ./internal/server
+
 echo "ci: perfbench unit tests"
 # The benchmark driver is its own module built against this one's
 # server and registry packages; -short skips its slow smoke run.
@@ -36,12 +42,14 @@ echo "ci: archlint"
 go run ./cmd/archlint -summary ./...
 
 echo "ci: bench smoke"
-# One iteration per benchmark: proves the trajectory harness runs end to
-# end and benchjson parses its output, without CI-grade timings. The
-# JSON lands in a temp dir so the committed BENCH_engine.json snapshot
-# is only refreshed by a deliberate `make bench`.
+# One iteration per benchmark, five times over: proves the trajectory
+# harness runs end to end and benchjson parses its output, and gives
+# the ratio ceilings a median of five to gate instead of one noisy
+# iteration. The JSON lands in a temp dir so the committed
+# BENCH_engine.json snapshot is only refreshed by a deliberate
+# `make bench`.
 bench_tmp=$(mktemp -d)
-BENCHTIME=1x ./scripts/bench.sh "$bench_tmp/bench.json" >/dev/null
+BENCHTIME=1x BENCHCOUNT=5 ./scripts/bench.sh "$bench_tmp/bench.json" >/dev/null
 grep -q '"name": "BenchmarkSuiteRun/workers=1"' "$bench_tmp/bench.json" || {
     echo "ci: bench.json is missing the suite-run trajectory" >&2
     exit 1
@@ -49,9 +57,10 @@ grep -q '"name": "BenchmarkSuiteRun/workers=1"' "$bench_tmp/bench.json" || {
 
 echo "ci: bench gate"
 # The smoke run's snapshot doubles as the regression gate input: the
-# committed allocs/op ceilings (and, on >=4-CPU hosts, the parallel
-# speedup floor) in scripts/bench_budget.json must hold even at one
-# iteration per benchmark.
+# committed allocs/op ceilings, the ns/op ratio ceilings (and, on
+# >=4-CPU hosts, the parallel speedup floor) in
+# scripts/bench_budget.json must hold even at one iteration per
+# benchmark.
 ./scripts/benchgate.sh "$bench_tmp/bench.json"
 rm -rf "$bench_tmp"
 
